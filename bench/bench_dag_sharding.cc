@@ -21,10 +21,8 @@
 //    section wires the graph directly — the graph-level exception the
 //    ROADMAP grants benches of the executor itself.
 //
-// 3. "queue": single-pair microbench of the old mutex+condvar
-//    BoundedQueue vs. the lock-free SpscRing on the same message count;
-//    the ring is the reason the ingest path no longer takes a lock after
-//    PushBatch.
+// 3. "watermark": the Q1 plan on one shard with watermark generation off
+//    vs. planner-auto, measuring the signalling overhead (target < 2%).
 //
 // NOTE: the dev container is single-core; multi-shard and multi-lane
 // rows are expected ~flat there (<10% overhead is the acceptance bar),
@@ -47,10 +45,8 @@
 #include "query/planner.h"
 #include "query/query.h"
 #include "stats/gaussian.h"
-#include "stream/bounded_queue.h"
 #include "stream/group_by.h"
 #include "stream/sharded_executor.h"
-#include "stream/spsc_ring.h"
 #include "uncertain/selection.h"
 #include "uncertain/sum_strategies.h"
 
@@ -71,7 +67,6 @@ constexpr int64_t kWindowUs = 1000;
 bool g_smoke = false;
 size_t g_q1_tuples = 64 * 1024;
 size_t g_ingest_tuples_per_chain = 64 * 1024;
-size_t g_queue_ops = 2 * 1000 * 1000;
 std::vector<size_t> g_shard_axis = {1, 2, 4, 8};
 std::vector<size_t> g_ingest_shard_axis = {1, 2, 4};
 std::vector<size_t> g_lane_axis = {1, 2, 4};
@@ -122,7 +117,6 @@ double RunQ1Sharding(size_t num_shards, const std::vector<TupleBatch>& input,
           .PartitionBy(usp::stream::KeyByIntValue(0));
   usp::query::PlannerOptions opts;
   opts.num_shards = num_shards;
-  opts.queue_capacity = 64;
   opts.target_batch_size = 0;  // measure raw ingest, not re-batching
   opts.watermark_period_us = watermark_period_us;
   auto exec_or = q1.Compile(opts);
@@ -171,7 +165,6 @@ double RunIngest(size_t num_shards, size_t num_lanes,
   ShardedExecutor::Options opts;
   opts.num_shards = num_shards;
   opts.num_ingest_lanes = num_lanes;
-  opts.queue_capacity = 64;
   std::vector<ExecGraph::NodeId> sources(kChains);
   auto exec_or = ShardedExecutor::Create(
       opts, usp::stream::KeyByIntValue(0),
@@ -230,38 +223,6 @@ double RunIngest(size_t num_shards, size_t num_lanes,
          sw.ElapsedSeconds();
 }
 
-// ---- section 3: queue microbench ------------------------------------------
-
-double RunBoundedQueue(size_t ops) {
-  usp::stream::BoundedQueue<uint64_t> queue(64);
-  Stopwatch sw;
-  std::thread consumer([&queue] {
-    while (queue.Pop().has_value()) {
-    }
-  });
-  for (uint64_t i = 0; i < ops; ++i) {
-    queue.Push(i);
-  }
-  queue.Close();
-  consumer.join();
-  return static_cast<double>(ops) / sw.ElapsedSeconds();
-}
-
-double RunSpscRing(size_t ops) {
-  usp::stream::SpscRing<uint64_t> ring(64);
-  Stopwatch sw;
-  std::thread consumer([&ring] {
-    while (ring.Pop().has_value()) {
-    }
-  });
-  for (uint64_t i = 0; i < ops; ++i) {
-    ring.Push(i);
-  }
-  ring.Close();
-  consumer.join();
-  return static_cast<double>(ops) / sw.ElapsedSeconds();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -271,7 +232,6 @@ int main(int argc, char** argv) {
   if (g_smoke) {
     g_q1_tuples = 8 * 1024;
     g_ingest_tuples_per_chain = 8 * 1024;
-    g_queue_ops = 200 * 1000;
     g_shard_axis = {1, 2};
     g_ingest_shard_axis = {1, 2};
     if (g_lane_axis.size() > 2) g_lane_axis = {1, 2};
@@ -315,22 +275,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  printf("\n=== 3. queue microbench: 1 producer, 1 consumer, %zu ops ===\n",
-         g_queue_ops);
-  const double bounded_ops = RunBoundedQueue(g_queue_ops);
-  const double spsc_ops = RunSpscRing(g_queue_ops);
-  printf("%-14s %14.0f ops/sec\n", "BoundedQueue", bounded_ops);
-  printf("%-14s %14.0f ops/sec   (%.1fx)\n", "SpscRing", spsc_ops,
-         bounded_ops > 0 ? spsc_ops / bounded_ops : 0.0);
-
-  // ---- section 4: watermark signalling overhead --------------------------
+  // ---- section 3: watermark signalling overhead --------------------------
   // Same Q1 plan, watermark generation off (period 0) vs. on (planner
   // auto: several watermarks per window), single shard so the signal's
   // propagation cost is not hidden behind worker parallelism. Best-of-3
   // per arm filters scheduler noise; the acceptance target is <2%
   // overhead (watermarks ride existing batches/rings — one control
   // message per period, min over inputs at fan-ins).
-  printf("\n=== 4. watermark overhead: Q1, 1 shard, off vs auto ===\n");
+  printf("\n=== 3. watermark overhead: Q1, 1 shard, off vs auto ===\n");
   double wm_off = 0.0, wm_on = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     wm_off = std::max(wm_off, RunQ1Sharding(1, q1_input,
@@ -363,12 +315,6 @@ int main(int argc, char** argv) {
               ingest_rows[i].tps,
               i + 1 < ingest_rows.size() ? "," : "");
     }
-    fprintf(f, "  ],\n  \"queue\": [\n");
-    fprintf(f,
-            "    {\"queue\": \"bounded_mutex\", \"ops_per_sec\": %.1f},\n",
-            bounded_ops);
-    fprintf(f, "    {\"queue\": \"spsc_ring\", \"ops_per_sec\": %.1f}\n",
-            spsc_ops);
     fprintf(f, "  ],\n  \"watermark\": {\n");
     fprintf(f, "    \"off_tuples_per_sec\": %.1f,\n", wm_off);
     fprintf(f, "    \"auto_tuples_per_sec\": %.1f,\n", wm_on);
@@ -376,7 +322,7 @@ int main(int argc, char** argv) {
     fprintf(f, "  }\n}\n");
     fclose(f);
   }
-  if (failed || bounded_ops <= 0.0 || spsc_ops <= 0.0) {
+  if (failed) {
     fprintf(stderr, "bench_dag_sharding: at least one section failed\n");
     return 1;  // so the CI smoke step actually gates on the bench running
   }

@@ -73,24 +73,20 @@ int main() {
   //      tuner's throughput-oriented choice (0 disables re-batching
   //      entirely). Explicit values always win over auto-tuning.
   //
-  //      Watermark knobs (event-time progress): every source
-  //      periodically announces "no future tuple below T"; the runtime
-  //      forwards that signal along the plan's edges (fan-ins take the
-  //      min of their inputs), closes windows by it, and expires join
-  //      buffers by it — so a SILENT sensor no longer stalls windows or
-  //      grows the peer side of a join (push progress explicitly with
+  //      Watermark knob (event-time progress): every source
+  //      periodically announces "no future tuple below T", where T is
+  //      its max ingested timestamp (exact, because per-source timestamp
+  //      order is the ingest contract); the runtime forwards that signal
+  //      along the plan's edges (fan-ins take the min of their inputs),
+  //      closes windows by it, and expires join buffers by it — so a
+  //      SILENT sensor no longer stalls windows or grows the peer side
+  //      of a join (push progress explicitly with
   //      `CompiledQuery::PushWatermark` during an outage).
   //      * `watermark_period_us`: how often each source emits one.
   //        Default kAutoWatermarkPeriod derives a quarter of the
   //        smallest window slide / join range from the plan; 0 turns
   //        generation off (arrival-driven closure only).
-  //      * `watermark_lateness_us`: slack subtracted from the source's
-  //        max ingested timestamp. It only weakens the PROMISE (delaying
-  //        watermark-gated closure/expiry by that much event time); it
-  //        does not let operators on the arrival-driven path accept
-  //        out-of-order input — per-source timestamp order remains the
-  //        ingest contract. Leave at 0 (exact).
-  //      The decisions appear in summary() with every other knob, and
+  //      The decision appears in summary() with every other knob, and
   //      per-operator progress/memory is observable as `low_watermark` /
   //      `buffered_bytes` in MetricsSnapshot().
   //

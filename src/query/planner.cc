@@ -22,6 +22,7 @@ namespace {
 using stream::ExecGraph;
 using stream::ShardContext;
 using stream::ShardedExecutor;
+using stream::ShardedSubscriptionTable;
 using stream::Tuple;
 using stream::TupleBatch;
 using stream::Value;
@@ -156,12 +157,13 @@ common::Result<ShardKeyDecision> DeriveShardKey(const LogicalPlan& plan) {
 
 /// Materialises one shard's ExecGraph from the logical plan. `record` is
 /// true exactly once (shard 0 / the single DAG) so the name maps and the
-/// summary are filled without duplicates.
+/// summary are filled without duplicates. A non-null `dispatch_table`
+/// (a multiplexed plan's bound subscription table) splices the
+/// predicate-index dispatch operator after the aggregate.
 common::Status BuildGraph(const LogicalPlan& plan,
                           const PlannerOptions& options,
-                          const ShardContext& ctx, CompiledQuery* owner,
-                          bool record, ExecGraph* graph,
-                          PlanSummary* summary,
+                          const ShardContext& ctx, bool record,
+                          ExecGraph* graph, PlanSummary* summary,
                           std::unordered_map<std::string, ExecGraph::NodeId>*
                               sources,
                           std::unordered_map<std::string, ExecGraph::NodeId>*
@@ -169,7 +171,8 @@ common::Status BuildGraph(const LogicalPlan& plan,
                           std::function<uncertain::SumStrategy*(
                               uncertain::SumStrategyKind)> new_strategy,
                           const std::vector<char>& watermark_only_aggs,
-                          const Planner::DispatchFactory* make_dispatch) {
+                          const std::shared_ptr<ShardedSubscriptionTable>&
+                              dispatch_table) {
   std::vector<ExecGraph::NodeId> phys(plan.num_nodes(),
                                       ExecGraph::kInvalidNode);
   for (LogicalPlan::NodeId id = 0; id < plan.num_nodes(); ++id) {
@@ -311,19 +314,21 @@ common::Status BuildGraph(const LogicalPlan& plan,
           op = std::move(naive_op);
         }
         phys[id] = graph->AddOperator(phys[n.inputs[0]], std::move(op));
-        if (make_dispatch != nullptr && *make_dispatch) {
+        if (dispatch_table != nullptr) {
           // Multiplexed plan: splice the predicate-index dispatch between
           // the shared aggregate and whatever consumes it, so every
           // result row is routed to its subscribers before the sink.
-          USP_ASSIGN_OR_RETURN(std::unique_ptr<stream::Operator> dispatch_op,
-                               (*make_dispatch)(ctx));
-          phys[id] = graph->AddOperator(phys[id], std::move(dispatch_op));
+          phys[id] = graph->AddOperator(
+              phys[id], std::make_unique<stream::SubscriptionDispatchOperator>(
+                            n.name + "_dispatch", dispatch_table,
+                            ctx.shard_index,
+                            uncertain::MakeSubscriptionProbFn()));
         }
         if (record) {
           summary->aggregates.push_back({n.name, paned});
           if (share_grids) summary->cf_grid_sharing = true;
           if (watermark_only) summary->watermark_driven.push_back(n.name);
-          if (make_dispatch != nullptr && *make_dispatch) {
+          if (dispatch_table != nullptr) {
             summary->multiplex_agg_columns = n.aggregates.size();
             summary->multiplex_partial_slots = partial_slots;
           }
@@ -334,8 +339,7 @@ common::Status BuildGraph(const LogicalPlan& plan,
         phys[id] = graph->AddJoin(
             phys[n.inputs[0]], phys[n.inputs[1]],
             std::make_unique<stream::SlidingWindowJoin>(
-                n.name, n.join_range_us, n.join_match,
-                options.join_max_skew_us));
+                n.name, n.join_range_us, n.join_match));
         break;
       case LogicalPlan::NodeKind::kSink:
         phys[id] = graph->AddSink(phys[n.inputs[0]], n.name);
@@ -343,7 +347,6 @@ common::Status BuildGraph(const LogicalPlan& plan,
         break;
     }
   }
-  (void)owner;
   return common::Status::OK();
 }
 
@@ -382,9 +385,6 @@ std::string PlanSummary::ToString() const {
   if (watermark_period_us > 0) {
     out << ", watermarks every " << watermark_period_us << " us"
         << (auto_watermark_period ? " [auto]" : "");
-    if (watermark_lateness_us > 0) {
-      out << " (lateness " << watermark_lateness_us << " us)";
-    }
   } else {
     out << ", watermarks off" << (auto_watermark_period ? " [auto]" : "");
   }
@@ -492,8 +492,7 @@ common::Status CompiledQuery::PushBatch(stream::ExecGraph::NodeId source,
     // emitted after the data it covers, mirroring the executor-side
     // ordering rule.
     stream::SourceWatermarkClock& clock = source_clocks_[source];
-    if (const auto wm = clock.Advance(batch_max_ts, watermark_period_us_,
-                                      watermark_lateness_us_)) {
+    if (const auto wm = clock.Advance(batch_max_ts, watermark_period_us_)) {
       if (clock.TryCommit(*wm)) {
         USP_RETURN_NOT_OK(dag_->PushWatermark(source, *wm));
       }
@@ -554,25 +553,25 @@ std::vector<stream::NodeMetrics> CompiledQuery::MetricsSnapshot() const {
 
 common::Result<std::unique_ptr<CompiledQuery>> Planner::Compile(
     const LogicalPlan& logical, const PlannerOptions& options) {
-  return CompileImpl(logical, options, /*make_dispatch=*/nullptr);
+  std::unique_ptr<CompiledQuery> compiled(new CompiledQuery());
+  USP_RETURN_NOT_OK(
+      CompileInto(logical, options, /*subscriptions=*/nullptr, compiled.get()));
+  return compiled;
 }
 
-common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
-    const LogicalPlan& logical, const PlannerOptions& options,
-    const DispatchFactory* make_dispatch) {
+common::Status Planner::CompileInto(const LogicalPlan& logical,
+                                    const PlannerOptions& options,
+                                    SubscriptionSet* subscriptions,
+                                    CompiledQuery* compiled) {
   USP_RETURN_NOT_OK(logical.Validate());
-  std::unique_ptr<CompiledQuery> compiled(new CompiledQuery());
   PlanSummary& summary = compiled->summary_;
-  CompiledQuery* raw = compiled.get();
 
   // Logical rewrite first: push declared-read filters below
   // preserved-prefix maps so the (often expensive) map runs only on
   // surviving tuples. Everything downstream — key derivation included —
   // sees the rewritten plan.
   LogicalPlan plan = logical;
-  if (options.filter_pushdown) {
-    plan.PushFiltersBelowMaps(&summary.pushed_filters);
-  }
+  plan.PushFiltersBelowMaps(&summary.pushed_filters);
 
   size_t num_sources = 0;
   for (LogicalPlan::NodeId id = 0; id < plan.num_nodes(); ++id) {
@@ -603,7 +602,6 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
         min_span == INT64_MAX ? 0 : std::max<int64_t>(1, min_span / 4);
   }
   summary.watermark_period_us = watermark_period_us;
-  summary.watermark_lateness_us = options.watermark_lateness_us;
 
   // --- resolve num_shards -------------------------------------------------
   // Auto: as many shards as the machine has cores (capped) when a
@@ -721,28 +719,36 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   }
   summary.target_batch_size = target_batch_size;
 
+  // Multiplexed plans: bind the subscription table with one partition per
+  // shard — the same modulo placement the derived ingest key uses, so a
+  // shard's partition holds exactly the exact-key subscriptions whose
+  // groups that shard aggregates.
+  std::shared_ptr<ShardedSubscriptionTable> dispatch_table;
+  if (subscriptions != nullptr) {
+    USP_RETURN_NOT_OK(subscriptions->Bind(num_shards));
+    dispatch_table = subscriptions->table();
+  }
+
   if (!use_sharded) {
     ShardContext ctx;
     ctx.shard_index = 0;
     ctx.num_shards = 1;
-    ctx.archive = &compiled->local_archive_;
     ctx.cf_workspace = &compiled->local_workspace_;
     auto graph = std::make_unique<ExecGraph>();
     USP_RETURN_NOT_OK(BuildGraph(
-        plan, options, ctx, raw, /*record=*/true, graph.get(),
-        &compiled->summary_, &compiled->sources_, &compiled->sinks_,
-        [raw, &options, &ctx](uncertain::SumStrategyKind kind) {
-          return raw->NewStrategy(kind, options.cf_grid_points,
-                                  ctx.cf_workspace);
+        plan, options, ctx, /*record=*/true, graph.get(), &compiled->summary_,
+        &compiled->sources_, &compiled->sinks_,
+        [compiled, &options, &ctx](uncertain::SumStrategyKind kind) {
+          return compiled->NewStrategy(kind, options.cf_grid_points,
+                                       ctx.cf_workspace);
         },
-        watermark_only_aggs, make_dispatch));
+        watermark_only_aggs, dispatch_table));
     USP_RETURN_NOT_OK(graph->Validate());
     compiled->dag_ = std::make_unique<stream::DagExecutor>(std::move(graph));
     // The single-DAG backend has no ingest lanes; CompiledQuery::PushBatch
     // generates the periodic watermarks itself.
     compiled->watermark_period_us_ = watermark_period_us;
-    compiled->watermark_lateness_us_ = options.watermark_lateness_us;
-    return compiled;
+    return common::Status::OK();
   }
 
   compiled->summary_.sharded = true;
@@ -766,12 +772,9 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   ShardedExecutor::Options sopts;
   sopts.num_shards = num_shards;
   sopts.num_ingest_lanes = num_lanes;
-  sopts.queue_capacity = options.queue_capacity;
-  sopts.archive_retention_us = options.archive_retention_us;
   sopts.target_batch_size = target_batch_size;
   sopts.auto_target_batch_size = summary.auto_target_batch_size;
   sopts.watermark_period_us = watermark_period_us;
-  sopts.watermark_lateness_us = options.watermark_lateness_us;
   sopts.pin_threads = pin_threads;
   if (!have_key) {
     // Single shard behind a multi-lane ingest: partitioning is a no-op,
@@ -780,16 +783,16 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   }
   auto exec_or = ShardedExecutor::Create(
       sopts, std::move(key.fn),
-      [&plan, &options, raw, &watermark_only_aggs, make_dispatch](
+      [&plan, &options, compiled, &watermark_only_aggs, &dispatch_table](
           ExecGraph* g, const ShardContext& ctx) {
         return BuildGraph(
-            plan, options, ctx, raw, /*record=*/ctx.shard_index == 0, g,
-            &raw->summary_, &raw->sources_, &raw->sinks_,
-            [raw, &options, &ctx](uncertain::SumStrategyKind kind) {
-              return raw->NewStrategy(kind, options.cf_grid_points,
-                                      ctx.cf_workspace);
+            plan, options, ctx, /*record=*/ctx.shard_index == 0, g,
+            &compiled->summary_, &compiled->sources_, &compiled->sinks_,
+            [compiled, &options, &ctx](uncertain::SumStrategyKind kind) {
+              return compiled->NewStrategy(kind, options.cf_grid_points,
+                                           ctx.cf_workspace);
             },
-            watermark_only_aggs, make_dispatch);
+            watermark_only_aggs, dispatch_table);
       });
   USP_RETURN_NOT_OK(exec_or.status());
   compiled->sharded_ = exec_or.MoveValueUnsafe();
@@ -804,7 +807,7 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
     }
     ++source_index;
   }
-  return compiled;
+  return common::Status::OK();
 }
 
 common::Result<std::unique_ptr<MultiplexedQuery>> Planner::CompileMultiplexed(
@@ -871,96 +874,13 @@ common::Result<std::unique_ptr<MultiplexedQuery>> Planner::CompileMultiplexed(
         "placement (drop the override; the group key derives it)");
   }
 
-  // The factory runs once per shard while that shard's graph is built
-  // (sequentially, on the compiling thread). The first call learns the
-  // final shard count from the ShardContext and materialises the table
-  // with one partition per shard — the same modulo placement the derived
-  // ingest key uses, so a shard's dispatch partition holds exactly the
-  // exact-key subscriptions whose groups that shard aggregates.
-  const std::string dispatch_name = agg.name + "_dispatch";
-  DispatchFactory make_dispatch =
-      [subscriptions, dispatch_name,
-       prob = uncertain::MakeSubscriptionProbFn()](const ShardContext& ctx)
-      -> common::Result<std::unique_ptr<stream::Operator>> {
-    if (!subscriptions->bound()) {
-      USP_RETURN_NOT_OK(subscriptions->Bind(ctx.num_shards));
-    }
-    return std::unique_ptr<stream::Operator>(
-        std::make_unique<stream::SubscriptionDispatchOperator>(
-            dispatch_name, subscriptions->table(), ctx.shard_index, prob));
-  };
-
-  USP_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> compiled,
-                       CompileImpl(templ, options, &make_dispatch));
-  compiled->summary_.multiplexed = true;
-  compiled->summary_.subscriptions_at_compile = subscriptions->size();
-
   std::unique_ptr<MultiplexedQuery> mq(new MultiplexedQuery());
-  mq->compiled_ = std::move(compiled);
+  USP_RETURN_NOT_OK(CompileInto(templ, options, subscriptions.get(), mq.get()));
+  mq->summary_.multiplexed = true;
+  mq->summary_.subscriptions_at_compile = subscriptions->size();
   mq->subscriptions_ = std::move(subscriptions);
   return mq;
 }
-
-stream::ExecGraph::NodeId MultiplexedQuery::source(
-    const std::string& name) const {
-  return compiled_->source(name);
-}
-
-stream::ExecGraph::NodeId MultiplexedQuery::sink(
-    const std::string& name) const {
-  return compiled_->sink(name);
-}
-
-size_t MultiplexedQuery::ingest_lane(stream::ExecGraph::NodeId source) const {
-  return compiled_->ingest_lane(source);
-}
-
-common::Status MultiplexedQuery::Push(stream::ExecGraph::NodeId source,
-                                      stream::Tuple tuple) {
-  return compiled_->Push(source, std::move(tuple));
-}
-
-common::Status MultiplexedQuery::PushBatch(stream::ExecGraph::NodeId source,
-                                           const stream::TupleBatch& batch) {
-  return compiled_->PushBatch(source, batch);
-}
-
-common::Status MultiplexedQuery::PushBatch(stream::ExecGraph::NodeId source,
-                                           stream::TupleBatch&& batch) {
-  return compiled_->PushBatch(source, std::move(batch));
-}
-
-common::Status MultiplexedQuery::PushWatermark(
-    stream::ExecGraph::NodeId source, int64_t watermark) {
-  return compiled_->PushWatermark(source, watermark);
-}
-
-common::Status MultiplexedQuery::Finish() { return compiled_->Finish(); }
-
-const stream::TupleBatch& MultiplexedQuery::Result(
-    stream::ExecGraph::NodeId sink) const {
-  return compiled_->Result(sink);
-}
-
-const stream::TupleBatch& MultiplexedQuery::Result(
-    const std::string& name) const {
-  return compiled_->Result(name);
-}
-
-stream::TupleBatch MultiplexedQuery::TakeResult(
-    stream::ExecGraph::NodeId sink) {
-  return compiled_->TakeResult(sink);
-}
-
-std::vector<stream::NodeMetrics> MultiplexedQuery::MetricsSnapshot() const {
-  return compiled_->MetricsSnapshot();
-}
-
-const PlanSummary& MultiplexedQuery::summary() const {
-  return compiled_->summary();
-}
-
-size_t MultiplexedQuery::num_shards() const { return compiled_->num_shards(); }
 
 common::Result<std::unique_ptr<CompiledQuery>> Query::Compile() const {
   return Compile(PlannerOptions{});

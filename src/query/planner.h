@@ -25,9 +25,9 @@
 //     count from std::thread::hardware_concurrency(), one ingest lane per
 //     source on sharded plans so multi-sensor feeds push from their own
 //     threads, the ingest re-batching target from observed per-tuple
-//     operator cost (the executor's feedback tuner), and filters pushed
-//     below maps whenever the filter's declared read set lies inside the
-//     map's preserved prefix.
+//     operator cost (the executor's feedback tuner);
+//   * filter pushdown (always on): filters move below maps whenever the
+//     filter's declared read set lies inside the map's preserved prefix.
 //
 // The result is a CompiledQuery: one ingest/finish/result facade over both
 // backends, plus a PlanSummary describing the decisions for logs, tests,
@@ -36,7 +36,6 @@
 #ifndef USP_QUERY_PLANNER_H_
 #define USP_QUERY_PLANNER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -47,7 +46,6 @@
 #include "query/subscription.h"
 #include "stats/characteristic_function.h"
 #include "stream/exec_graph.h"
-#include "stream/pipeline.h"
 #include "stream/sharded_executor.h"
 #include "stream/watermark.h"
 #include "uncertain/sum_strategies.h"
@@ -76,21 +74,12 @@ struct PlannerOptions {
   /// lane otherwise. Sources are assigned round-robin in declaration
   /// order when there are fewer lanes than sources.
   size_t num_ingest_lanes = kAutoLanes;
-  /// Per-(lane, shard) ingest ring depth, in batches (backpressure
-  /// beyond).
-  size_t queue_capacity = 64;
-  /// Archive retention for lineage resolution; negative keeps everything.
-  int64_t archive_retention_us = -1;
   /// Sharded ingest merges undersized and splits oversized caller batches
   /// toward this many tuples; 0 forwards caller-sized batches unchanged.
   /// kAutoBatchSize (the default) turns on the executor's feedback tuner:
   /// the target is re-derived from observed per-tuple operator cost so
   /// one batch carries roughly a fixed cost budget of downstream work.
   size_t target_batch_size = kAutoBatchSize;
-  /// Push filters below maps when the filter declares a read set fully
-  /// inside the map's preserved prefix (see Query::Filter/Map). On by
-  /// default; semantics-preserving for pure maps.
-  bool filter_pushdown = true;
 
   /// Physical aggregation path selection. kAuto implements the planner
   /// rule (paned iff the window overlaps); the force knobs exist for
@@ -117,20 +106,10 @@ struct PlannerOptions {
   enum class PinThreads { kAuto, kOn, kOff };
   PinThreads pin_threads = PinThreads::kAuto;
 
-  /// Memory bound for join buffers when one input stalls: a join side
-  /// also expires once its own stream has advanced range + this many us
-  /// past a tuple (asserting the two inputs' clocks never diverge
-  /// further; matches beyond the divergence are dropped). Negative
-  /// (default) keeps exact unbounded-skew semantics. Superseded by
-  /// watermarks for the silent-input case — a watermark states the idle
-  /// side's clock instead of assuming it, so no matches are dropped —
-  /// but still honoured as a hard cap for feeds that send neither data
-  /// nor watermarks.
-  int64_t join_max_skew_us = -1;
-
   /// Event-time watermark generation period, in event-time microseconds.
   /// Watermarks are the runtime's progress signal: each source
-  /// periodically announces "no future tuple below T", executors forward
+  /// periodically announces "no future tuple below T" (T = its max
+  /// ingested timestamp, exact under per-source order), executors forward
   /// the signal along graph edges (fan-in nodes take the min of their
   /// inputs), windowed operators close windows by it, and join buffers
   /// expire by it — which is what keeps a join bounded when one input
@@ -139,20 +118,10 @@ struct PlannerOptions {
   /// plan — a quarter of the smallest window slide / join range — when
   /// the plan has event-time state, and disables generation otherwise.
   /// 0 disables generation explicitly (pre-watermark behaviour:
-  /// arrival-driven closure only). With lateness 0 (below), watermark
-  /// closure fires exactly where arrival-driven closure already fired,
-  /// so result sets are unchanged.
+  /// arrival-driven closure only). Watermark closure fires exactly where
+  /// arrival-driven closure already fired, so result sets are unchanged.
   static constexpr int64_t kAutoWatermarkPeriod = -1;
   int64_t watermark_period_us = kAutoWatermarkPeriod;
-  /// Slack subtracted from a source's max ingested timestamp when its
-  /// watermark is generated ("no future tuple below max - L"). This
-  /// weakens only the PROMISE — it delays watermark-gated actions
-  /// (watermark-only window closure below joins, join-buffer expiry) by
-  /// L of event time. It does NOT make the arrival-driven closure path
-  /// tolerate out-of-order input: windowed operators fed directly by a
-  /// source still require per-source timestamp order regardless of this
-  /// knob. Per-source order makes 0 exact; leave it there.
-  int64_t watermark_lateness_us = 0;
 
   /// Auto shard counts are capped here: past ~8 shards ingest
   /// partitioning saturates before the workers do.
@@ -196,7 +165,6 @@ struct PlanSummary {
   /// planner derived it from the plan's window/join spans.
   int64_t watermark_period_us = 0;
   bool auto_watermark_period = false;
-  int64_t watermark_lateness_us = 0;
   /// Windowed aggregates switched to watermark-only closure: they consume
   /// join output under multi-lane ingest, where emission order regresses
   /// in timestamp under cross-source skew but never below the join's
@@ -247,6 +215,8 @@ struct PlanSummary {
 /// sets are shard-count-independent, equal-timestamp tie order is not).
 class CompiledQuery {
  public:
+  virtual ~CompiledQuery() = default;
+
   /// Source/sink handle by the name declared in the logical plan;
   /// kInvalidNode if absent.
   stream::ExecGraph::NodeId source(const std::string& name) const;
@@ -296,9 +266,11 @@ class CompiledQuery {
   const PlanSummary& summary() const { return summary_; }
   size_t num_shards() const { return summary_.num_shards; }
 
+ protected:
+  CompiledQuery() = default;
+
  private:
   friend class Planner;
-  CompiledQuery() = default;
 
   /// Creates (and owns) one SumStrategy instance for one shard's operator,
   /// wiring CF-inversion strategies to the shard's workspace.
@@ -314,16 +286,14 @@ class CompiledQuery {
   /// All shards' strategy instances (stable addresses; operators hold raw
   /// pointers into these).
   std::vector<std::unique_ptr<uncertain::SumStrategy>> strategies_;
-  /// Shard context for the single-shard DagExecutor backend (the sharded
-  /// backend uses the per-shard context owned by ShardedExecutor).
-  stream::TupleArchive local_archive_;
+  /// CF scratch for the single-shard DagExecutor backend (the sharded
+  /// backend uses the per-shard workspace owned by ShardedExecutor).
   stats::CfInversionWorkspace local_workspace_;
   /// Single-DAG watermark generation state (the sharded backend generates
   /// lane-locally inside ShardedExecutor; same shared clock type).
   std::unordered_map<stream::ExecGraph::NodeId, stream::SourceWatermarkClock>
       source_clocks_;
   int64_t watermark_period_us_ = 0;
-  int64_t watermark_lateness_us_ = 0;
   /// Exactly one of these backs the query.
   std::unique_ptr<stream::DagExecutor> dag_;
   std::unique_ptr<stream::ShardedExecutor> sharded_;
@@ -336,39 +306,17 @@ class CompiledQuery {
 /// Produced by Planner::CompileMultiplexed from a template LogicalPlan
 /// (source → [filters/maps] → window/group-by/aggregate → sink) and a
 /// SubscriptionSet whose entries differ only in group-key scope and
-/// HAVING threshold. The ingest-side API mirrors CompiledQuery — there is
-/// exactly one source scan, one pane/window buffer, and one CF grid per
-/// aggregate signature regardless of the subscription count. Each result
+/// HAVING threshold. It is a CompiledQuery — same ingest/finish/result API
+/// — with exactly one source scan, one pane/window buffer, and one CF grid
+/// per aggregate signature regardless of the subscription count. Each result
 /// row the shared aggregate emits is routed by the predicate-index
 /// dispatch operator: the sink accumulates tagged rows
 /// [group_key, agg_1..agg_m, subscription_id] (ascending id per source
 /// row), and per-subscription OnMatch callbacks fire as windows close.
 /// Subscribe/Unsubscribe through subscriptions() stays legal while
 /// streaming.
-class MultiplexedQuery {
+class MultiplexedQuery : public CompiledQuery {
  public:
-  stream::ExecGraph::NodeId source(const std::string& name) const;
-  stream::ExecGraph::NodeId sink(const std::string& name) const;
-  size_t ingest_lane(stream::ExecGraph::NodeId source) const;
-
-  common::Status Push(stream::ExecGraph::NodeId source, stream::Tuple tuple);
-  common::Status PushBatch(stream::ExecGraph::NodeId source,
-                           const stream::TupleBatch& batch);
-  common::Status PushBatch(stream::ExecGraph::NodeId source,
-                           stream::TupleBatch&& batch);
-  common::Status PushWatermark(stream::ExecGraph::NodeId source,
-                               int64_t watermark);
-  common::Status Finish();
-
-  const stream::TupleBatch& Result(stream::ExecGraph::NodeId sink) const;
-  const stream::TupleBatch& Result(const std::string& name) const;
-  stream::TupleBatch TakeResult(stream::ExecGraph::NodeId sink);
-
-  std::vector<stream::NodeMetrics> MetricsSnapshot() const;
-
-  const PlanSummary& summary() const;
-  size_t num_shards() const;
-
   /// The live registry this plan serves; mid-stream Subscribe/Unsubscribe
   /// take effect on the next window the dispatch routes.
   SubscriptionSet& subscriptions() { return *subscriptions_; }
@@ -380,7 +328,6 @@ class MultiplexedQuery {
   friend class Planner;
   MultiplexedQuery() = default;
 
-  std::unique_ptr<CompiledQuery> compiled_;
   std::shared_ptr<SubscriptionSet> subscriptions_;
 };
 
@@ -403,17 +350,14 @@ class Planner {
       const LogicalPlan& templ, std::shared_ptr<SubscriptionSet> subscriptions,
       const PlannerOptions& options = {});
 
-  /// Per-shard dispatch-operator factory threaded through graph building
-  /// (an implementation detail of CompileMultiplexed; public only so the
-  /// internal build helper can name the type).
-  using DispatchFactory =
-      std::function<common::Result<std::unique_ptr<stream::Operator>>(
-          const stream::ShardContext&)>;
-
  private:
-  static common::Result<std::unique_ptr<CompiledQuery>> CompileImpl(
-      const LogicalPlan& plan, const PlannerOptions& options,
-      const DispatchFactory* make_dispatch);
+  /// Shared body of Compile and CompileMultiplexed: fills `compiled`.
+  /// A non-null `subscriptions` splices its dispatch operator after the
+  /// aggregate on every shard.
+  static common::Status CompileInto(const LogicalPlan& plan,
+                                    const PlannerOptions& options,
+                                    SubscriptionSet* subscriptions,
+                                    CompiledQuery* compiled);
 };
 
 }  // namespace query

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 #ifdef __linux__
 #include <pthread.h>
 #include <sched.h>
 #endif
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
 
 namespace usp {
@@ -78,7 +76,6 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
     ShardContext ctx;
     ctx.shard_index = i;
     ctx.num_shards = options.num_shards;
-    ctx.archive = &shard->archive;
     ctx.cf_workspace = &shard->cf_workspace;
     USP_RETURN_NOT_OK(builder(graph.get(), ctx));
     USP_RETURN_NOT_OK(graph->Validate());
@@ -105,7 +102,6 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
   exec->num_nodes_ = num_nodes;
   for (auto& shard : exec->shards_) {
     shard->last_seq.assign(num_nodes, 0);
-    shard->source_watermark.assign(num_nodes, INT64_MIN);
   }
   exec->source_lane_ =
       std::make_unique<std::atomic<uint32_t>[]>(num_nodes);
@@ -152,33 +148,6 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
   return exec;
 }
 
-void ShardedExecutor::MaybeEvictArchive(Shard* shard) {
-  // Eviction clock: the MIN across per-source event-time clocks seen on
-  // this shard, so a source lagging behind the others (multi-lane skew)
-  // does not have its freshly-archived tuples evicted by the fastest
-  // source's timestamps. The per-source clock advances on data AND on
-  // propagated watermarks — the same signal that closes windows — so an
-  // idle source no longer pins the whole shard's archive.
-  int64_t evict_watermark = INT64_MAX;
-  for (const int64_t wm : shard->source_watermark) {
-    if (wm != INT64_MIN) evict_watermark = std::min(evict_watermark, wm);
-  }
-  if (evict_watermark == INT64_MAX) evict_watermark = INT64_MIN;
-  // Evict only once the clock has advanced at least a quarter of the
-  // retention span past the last eviction: EvictBefore scans the whole
-  // archive, so running it per message would be O(messages * archive
-  // size). No eviction until a non-empty batch has set the clock
-  // (INT64_MIN - retention would underflow).
-  if (options_.archive_retention_us >= 0 && evict_watermark != INT64_MIN &&
-      (shard->last_evict_watermark == INT64_MIN ||
-       evict_watermark - shard->last_evict_watermark >=
-           std::max<int64_t>(1, options_.archive_retention_us / 4))) {
-    shard->archive.EvictBefore(evict_watermark -
-                               options_.archive_retention_us);
-    shard->last_evict_watermark = evict_watermark;
-  }
-}
-
 void ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
   std::lock_guard<std::mutex> lock(shard->mu);
   if (!shard->status.ok()) return;  // drain after failure
@@ -199,24 +168,11 @@ void ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
   }
   if (msg.watermark != INT64_MIN) {
     // Watermark control message: propagate through the shard's graph
-    // (closing windows, expiring join buffers) and advance the eviction
-    // clock — no tuples to process.
+    // (closing windows, expiring join buffers) — no tuples to process.
     shard->status = shard->exec->PushWatermark(msg.source, msg.watermark);
-    if (msg.source < shard->source_watermark.size()) {
-      shard->source_watermark[msg.source] =
-          std::max(shard->source_watermark[msg.source], msg.watermark);
-    }
-    MaybeEvictArchive(shard);
     return;
   }
   shard->status = shard->exec->PushBatch(msg.source, msg.batch);
-  const int64_t batch_max_ts = msg.batch.MaxTimestamp();
-  shard->watermark = std::max(shard->watermark, batch_max_ts);
-  if (msg.source < shard->source_watermark.size()) {
-    shard->source_watermark[msg.source] =
-        std::max(shard->source_watermark[msg.source], batch_max_ts);
-  }
-  MaybeEvictArchive(shard);
 }
 
 void ShardedExecutor::WorkerLoop(Shard* shard) {
@@ -350,8 +306,7 @@ common::Status ShardedExecutor::PushSlice(Lane* lane,
   // (lane FIFO then guarantees no shard sees the watermark before the
   // tuples it promises about).
   if (const auto wm = lane->watermark_clocks[source].Advance(
-          batch_max_ts, options_.watermark_period_us,
-          options_.watermark_lateness_us)) {
+          batch_max_ts, options_.watermark_period_us)) {
     USP_RETURN_NOT_OK(BroadcastWatermark(lane, source, *wm));
   }
   return common::Status::OK();
@@ -546,33 +501,11 @@ common::Status ShardedExecutor::PushWatermark(LaneId lane_id,
   return BroadcastWatermark(lane, source, watermark);
 }
 
-common::Status ShardedExecutor::PushWatermark(ExecGraph::NodeId source,
-                                              int64_t watermark) {
-  return PushWatermark(LaneId{0}, source, watermark);
-}
-
-common::Status ShardedExecutor::PushBatch(ExecGraph::NodeId source,
-                                          const TupleBatch& batch) {
-  TupleBatch copy = batch;
-  return PushBatch(LaneId{0}, source, std::move(copy));
-}
-
-common::Status ShardedExecutor::PushBatch(ExecGraph::NodeId source,
-                                          TupleBatch&& batch) {
-  return PushBatch(LaneId{0}, source, std::move(batch));
-}
-
-common::Status ShardedExecutor::Push(ExecGraph::NodeId source, Tuple tuple) {
-  TupleBatch batch;
-  batch.Append(std::move(tuple));
-  return PushBatch(LaneId{0}, source, std::move(batch));
-}
-
 common::Status ShardedExecutor::Finish() {
   // Serialises concurrent Finish() calls: a second caller blocks until the
   // first completes, then sees finished_ == true and the final status.
-  // finished_ itself only flips after the merge, so the archive()/
-  // watermark()/sink_output() guards stay closed while workers drain.
+  // finished_ itself only flips after the merge, so the sink_output()
+  // guards stay closed while workers drain.
   std::lock_guard<std::mutex> finish_lock(finish_mu_);
   if (finished_) return final_status_;
   // (1) Close the lanes FIRST: a racing push fails loudly with
@@ -680,26 +613,6 @@ std::vector<NodeMetrics> ShardedExecutor::MetricsSnapshot() const {
     merged.push_back(std::move(entry));
   }
   return merged;
-}
-
-const TupleArchive& ShardedExecutor::archive(size_t shard) const {
-  // Always-on check: before Finish() the worker thread still mutates the
-  // archive, so returning the reference would hand out a data race.
-  if (!finished_) {
-    USP_LOG(Error) << "ShardedExecutor::archive(" << shard
-                   << ") before Finish()";
-    std::abort();
-  }
-  return shards_[shard]->archive;
-}
-
-int64_t ShardedExecutor::watermark(size_t shard) const {
-  if (!finished_) {
-    USP_LOG(Error) << "ShardedExecutor::watermark(" << shard
-                   << ") before Finish()";
-    std::abort();
-  }
-  return shards_[shard]->watermark;
 }
 
 ShardedExecutor::KeyFn KeyByStringValue(size_t value_index) {

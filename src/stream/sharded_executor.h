@@ -1,7 +1,7 @@
 // Key-sharded, multi-threaded DAG runtime with lock-free parallel ingest.
 //
 // The executor owns N shards; each shard runs a private copy of the plan
-// (its own ExecGraph + operator instances, its own TupleArchive) on a
+// (its own ExecGraph + operator instances, its own CF workspace) on a
 // dedicated worker thread. Ingest runs through L *lanes*: a lane is one
 // producer thread's private ingest channel, connected to every shard by a
 // bounded lock-free SPSC ring — one ring per (lane, shard) pair — so
@@ -26,26 +26,20 @@
 //
 // Each shard hash-partitions nothing itself — partitioning happens on the
 // lane's producer thread — and all tuples of one key are processed by one
-// shard: keyed plans (group-by, keyed joins, lineage resolution against
-// the shard archive) need no cross-shard coordination, and the result SET
-// is independent of both the shard count and the lane count (merged
-// output is timestamp-sorted; equal-timestamp tie order follows shard
-// assignment and worker interleaving).
+// shard: keyed plans (group-by, keyed joins) need no cross-shard
+// coordination, and the result SET is independent of both the shard
+// count and the lane count (merged output is timestamp-sorted;
+// equal-timestamp tie order follows shard assignment and worker
+// interleaving).
 //
 // Thread safety: PushBatch(lane, ...) is single-producer PER LANE — two
-// threads may push concurrently only on different lanes. The lane-less
-// overloads use lane 0 (the seed single-caller API, unchanged).
+// threads may push concurrently only on different lanes.
 //
 // Metrics: every shard's operator instances accumulate private
 // OperatorMetrics; MetricsSnapshot() merges them under the shard locks
 // and appends one entry per source node carrying the ingest counters
 // (tuples/batches enqueued, producer block time, peak queue depth), so
 // backpressure is observable instead of inferred.
-//
-// Archives: each shard exposes a TupleArchive to the plan builder; the
-// worker advances a per-shard watermark (max timestamp seen) and evicts
-// archived tuples older than `watermark - archive_retention_us` after
-// each message, bounding archive memory without any global pause.
 
 #ifndef USP_STREAM_SHARDED_EXECUTOR_H_
 #define USP_STREAM_SHARDED_EXECUTOR_H_
@@ -60,7 +54,6 @@
 #include "common/status.h"
 #include "stats/characteristic_function.h"
 #include "stream/exec_graph.h"
-#include "stream/pipeline.h"
 #include "stream/spsc_ring.h"
 #include "stream/watermark.h"
 
@@ -71,8 +64,6 @@ namespace stream {
 struct ShardContext {
   size_t shard_index = 0;
   size_t num_shards = 1;
-  /// Shard-private archive for lineage resolution; evicted by watermark.
-  TupleArchive* archive = nullptr;
   /// Shard-private scratch for CF inversion / order-statistics grids.
   /// Owned by the shard and touched only from its worker thread; plan
   /// builders hand it to CfInversionSum::set_workspace or the pane
@@ -95,9 +86,6 @@ class ShardedExecutor {
     /// Bounded ring depth, in batches, per (lane, shard) pair (rounded up
     /// to a power of two; producers block beyond = backpressure).
     size_t queue_capacity = 64;
-    /// Archived tuples older than watermark - retention are evicted after
-    /// each processed message; negative = keep everything.
-    int64_t archive_retention_us = -1;
     /// When > 0, ingest re-batches caller pushes toward this many tuples
     /// before partitioning: oversized batches are split into target-sized
     /// slices (bounding per-message queue occupancy and shard latency for
@@ -120,19 +108,13 @@ class ShardedExecutor {
     bool auto_target_batch_size = false;
     /// Event-time watermark generation period per source, in event-time
     /// microseconds; 0 disables generation (explicit PushWatermark still
-    /// works). When a source's max ingested timestamp minus
-    /// `watermark_lateness_us` has advanced at least this far past its
-    /// last emitted watermark, the lane broadcasts a watermark message to
-    /// EVERY shard (partitioning splits a source's tuples across shards,
-    /// so each shard must hear the source's progress) and the per-shard
+    /// works). When a source's max ingested timestamp has advanced at
+    /// least this far past its last emitted watermark, the lane
+    /// broadcasts that timestamp as a watermark message to EVERY shard
+    /// (partitioning splits a source's tuples across shards, so each
+    /// shard must hear the source's progress) and the per-shard
     /// DagExecutor propagates it along the graph edges.
     int64_t watermark_period_us = 0;
-    /// Slack subtracted from the max ingested timestamp when generating a
-    /// watermark: the promise becomes "no future tuple below max - L".
-    /// Weakens only the promise (delaying watermark-gated closure and
-    /// expiry); the arrival-driven paths still require per-source
-    /// timestamp order. 0 matches that contract exactly.
-    int64_t watermark_lateness_us = 0;
     /// Pin threads to distinct cores (Linux only; elsewhere a no-op):
     /// shard worker i -> core i % ncpu, and the producer thread of lane l
     /// -> core (num_shards + l) % ncpu on its FIRST push (the executor
@@ -173,6 +155,9 @@ class ShardedExecutor {
   /// Partition a batch by shard key on the calling thread and enqueue the
   /// per-shard sub-batches on `lane`'s rings. Single producer per lane;
   /// the source becomes bound to `lane` on first push and may not move.
+  /// The rvalue form moves tuples into the partitions (and with a single
+  /// shard forwards the whole batch without copying); prefer it for
+  /// batches the caller does not reuse.
   common::Status PushBatch(LaneId lane, ExecGraph::NodeId source,
                            TupleBatch&& batch);
   common::Status PushBatch(LaneId lane, ExecGraph::NodeId source,
@@ -190,16 +175,6 @@ class ShardedExecutor {
   /// ignored).
   common::Status PushWatermark(LaneId lane, ExecGraph::NodeId source,
                                int64_t watermark);
-  /// Lane-0 convenience overload.
-  common::Status PushWatermark(ExecGraph::NodeId source, int64_t watermark);
-
-  /// Single-caller convenience API: lane 0.
-  common::Status PushBatch(ExecGraph::NodeId source, const TupleBatch& batch);
-  /// Move ingest: tuples are moved into the partitions (and with a single
-  /// shard the whole batch is forwarded without copying). Prefer this for
-  /// batches the caller does not reuse.
-  common::Status PushBatch(ExecGraph::NodeId source, TupleBatch&& batch);
-  common::Status Push(ExecGraph::NodeId source, Tuple tuple);
 
   /// Shutdown, in backpressure-safe order: (1) close every ingest lane so
   /// a racing push fails loudly with FailedPrecondition instead of
@@ -227,13 +202,6 @@ class ShardedExecutor {
   /// block time); safe to call while running.
   std::vector<NodeMetrics> MetricsSnapshot() const;
 
-  /// Shard-local archive inspection (tests, lineage debugging). Only
-  /// valid after Finish().
-  const TupleArchive& archive(size_t shard) const;
-  /// Highest timestamp shard `shard` has processed. Only valid after
-  /// Finish().
-  int64_t watermark(size_t shard) const;
-
   size_t num_shards() const { return shards_.size(); }
   size_t num_lanes() const { return lanes_.size(); }
   /// Current re-batching target (fixed unless auto_target_batch_size).
@@ -249,8 +217,8 @@ class ShardedExecutor {
     uint64_t seq = 0;
     TupleBatch batch;
     /// When != INT64_MIN this is a watermark control message (batch
-    /// empty): the worker forwards it into the shard's DagExecutor and
-    /// advances the eviction clock instead of processing tuples.
+    /// empty): the worker forwards it into the shard's DagExecutor
+    /// instead of processing tuples.
     int64_t watermark = INT64_MIN;
   };
 
@@ -292,26 +260,15 @@ class ShardedExecutor {
 
   struct Shard {
     std::unique_ptr<DagExecutor> exec;
-    TupleArchive archive;
     /// Reusable CF/order-statistics scratch; worker-thread-private.
     stats::CfInversionWorkspace cf_workspace;
     std::thread worker;
     size_t index = 0;
-    /// Guards exec/archive/watermark/status against snapshot readers.
+    /// Guards exec/status against snapshot readers.
     mutable std::mutex mu;
     common::Status status;
-    int64_t watermark = INT64_MIN;
-    int64_t last_evict_watermark = INT64_MIN;
     /// Last sequence number seen per source node id (worker-private).
     std::vector<uint64_t> last_seq;
-    /// Event-time clock per source node id (worker-private): max of the
-    /// source's data timestamps and its propagated watermarks. Archive
-    /// eviction uses the MIN across sources that have reached this shard:
-    /// under multi-lane skew the fastest source's clock must not evict a
-    /// lagging source's freshly-archived tuples. A stalled source used to
-    /// stall eviction forever; its explicit/periodic watermarks now keep
-    /// this clock — and therefore eviction — moving.
-    std::vector<int64_t> source_watermark;
   };
 
   ShardedExecutor(const Options& options, KeyFn key_fn);
@@ -350,9 +307,6 @@ class ShardedExecutor {
   /// lane's rings (monotone per source; no-op when not an advance).
   common::Status BroadcastWatermark(Lane* lane, ExecGraph::NodeId source,
                                     int64_t watermark);
-  /// Advance the shard's min-across-sources eviction clock and evict the
-  /// archive when it moved far enough. Caller holds shard->mu.
-  void MaybeEvictArchive(Shard* shard);
   /// Re-batching ingest path: merge + split toward `target` using the
   /// lane-local buffer. Flushes the pending buffer on source change.
   common::Status PushRebatched(Lane* lane, ExecGraph::NodeId source,
@@ -382,7 +336,7 @@ class ShardedExecutor {
   std::vector<TupleBatch> merged_sinks_;  // indexed by NodeId, post-Finish
   std::mutex finish_mu_;  // serialises Finish() calls
   /// True only once workers are joined and sinks merged; gates the
-  /// archive()/watermark()/sink_output() accessors.
+  /// sink_output() accessors.
   std::atomic<bool> finished_{false};
   common::Status final_status_;
 };

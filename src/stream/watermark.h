@@ -1,9 +1,10 @@
 // Per-source periodic watermark generation, shared by the two ingest
 // backends (ShardedExecutor lanes and CompiledQuery's single-DAG path) so
-// the gate arithmetic — INT64_MIN sentinels, lateness subtraction, the
-// "advanced a full period" test, monotone commit — has exactly one
-// implementation to evolve (e.g. toward a wall-clock idle timer, see
-// ROADMAP).
+// the gate arithmetic — INT64_MIN sentinels, the "advanced a full period"
+// test, monotone commit — has exactly one implementation to evolve (e.g.
+// toward a wall-clock idle timer, see ROADMAP). The generated watermark
+// is the source's max ingested timestamp: ingest requires per-source
+// timestamp order, so no future tuple of the source can fall below it.
 
 #ifndef USP_STREAM_WATERMARK_H_
 #define USP_STREAM_WATERMARK_H_
@@ -21,20 +22,17 @@ struct SourceWatermarkClock {
   int64_t max_ts = INT64_MIN;
   int64_t last_watermark = INT64_MIN;
 
-  /// Observe a batch's max timestamp; returns the watermark to emit when
-  /// the candidate (max - lateness) has advanced at least `period_us`
+  /// Observe a batch's max timestamp; returns the watermark to emit (the
+  /// max ingested timestamp) when it has advanced at least `period_us`
   /// past the last committed one (always fires on the first batch), or
   /// nullopt. Does NOT record the emission — callers run the returned
   /// value through TryCommit on the actual send path, so explicit
   /// PushWatermark and periodic generation share one monotone gate.
-  std::optional<int64_t> Advance(int64_t batch_max_ts, int64_t period_us,
-                                 int64_t lateness_us) {
+  std::optional<int64_t> Advance(int64_t batch_max_ts, int64_t period_us) {
     if (period_us <= 0 || batch_max_ts == INT64_MIN) return std::nullopt;
     max_ts = std::max(max_ts, batch_max_ts);
-    const int64_t candidate = max_ts - lateness_us;
-    if (last_watermark == INT64_MIN ||
-        candidate - last_watermark >= period_us) {
-      return candidate;
+    if (last_watermark == INT64_MIN || max_ts - last_watermark >= period_us) {
+      return max_ts;
     }
     return std::nullopt;
   }

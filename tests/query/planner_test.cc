@@ -179,7 +179,7 @@ TupleBatch RunQ1HandWired(size_t num_shards) {
   EXPECT_TRUE(exec_or.ok()) << exec_or.status().ToString();
   auto exec = exec_or.MoveValueUnsafe();
   for (const TupleBatch& b : Q1Input()) {
-    EXPECT_TRUE(exec->PushBatch(source, b).ok());
+    EXPECT_TRUE(exec->PushBatch(0, source, b).ok());
   }
   EXPECT_TRUE(exec->Finish().ok());
   return exec->TakeSinkOutput(sink);
@@ -906,12 +906,10 @@ TEST(PlannerTest, WatermarkPeriodAutoDerivedAndOverridable) {
 
   PlannerOptions fixed;
   fixed.watermark_period_us = 7;
-  fixed.watermark_lateness_us = 3;
   auto fixed_or = q.Compile(fixed);
   ASSERT_TRUE(fixed_or.ok());
   EXPECT_FALSE(fixed_or.value()->summary().auto_watermark_period);
   EXPECT_EQ(fixed_or.value()->summary().watermark_period_us, 7);
-  EXPECT_EQ(fixed_or.value()->summary().watermark_lateness_us, 3);
 
   // A stateless plan has nothing to close or expire: auto resolves to off.
   auto stateless = Query::From("src", 1)
@@ -923,9 +921,9 @@ TEST(PlannerTest, WatermarkPeriodAutoDerivedAndOverridable) {
 }
 
 TEST(PlannerTest, WatermarksDoNotChangeSingleLaneResults) {
-  // With lateness 0 the watermark closure rule fires exactly where
-  // arrival-driven closure already fired, so enabling generation must not
-  // change any result — bitwise, single-threaded plan.
+  // The watermark closure rule fires exactly where arrival-driven
+  // closure already fired, so enabling generation must not change any
+  // result — bitwise, single-threaded plan.
   auto run = [](int64_t period) {
     PlannerOptions opts;
     opts.num_shards = 1;
@@ -974,20 +972,22 @@ TEST(PlannerTest, AutoTargetBatchSizeReportedAndOverridable) {
 
 // ---- filter pushdown ----------------------------------------------------
 
-Query PushdownQuery() {
+Query PushdownQuery(bool declare_reads = true) {
   // annotate appends a derived attribute (preserving the 2 source attrs);
-  // the filter reads only attribute 0, so the planner may run it first.
-  return Query::From("src", 2)
-      .Map("annotate",
-           [](const Tuple& t) -> common::Result<Tuple> {
-             Tuple out = t;
-             out.AppendValue(Value(t.value(0).AsInt() * 10));
-             return out;
-           },
-           3, /*preserved_prefix=*/2)
-      .Filter("keep",
-              [](const Tuple& t) { return t.value(0).AsInt() % 2 == 0; },
-              /*reads_attrs=*/{0})
+  // the filter reads only attribute 0, so the planner may run it first —
+  // but only when the read set is declared; an opaque predicate stays put.
+  auto keep = [](const Tuple& t) { return t.value(0).AsInt() % 2 == 0; };
+  const Query annotated =
+      Query::From("src", 2).Map("annotate",
+                                [](const Tuple& t) -> common::Result<Tuple> {
+                                  Tuple out = t;
+                                  out.AppendValue(
+                                      Value(t.value(0).AsInt() * 10));
+                                  return out;
+                                },
+                                3, /*preserved_prefix=*/2);
+  return (declare_reads ? annotated.Filter("keep", keep, /*reads_attrs=*/{0})
+                        : annotated.Filter("keep", keep))
       .Window(WindowSpec::Tumbling(100))
       .GroupBy(0)
       .Sum("total", 1, uncertain::SumStrategyKind::kClt)
@@ -995,13 +995,16 @@ Query PushdownQuery() {
 }
 
 TEST(PlannerTest, FilterPushdownPreservesResultsAndShrinksMapWork) {
-  auto run = [](bool pushdown) {
+  // Baseline: the same query with the filter declared without reads_attrs,
+  // which the planner never pushes.
+  auto run = [](bool declare_reads) {
     PlannerOptions opts;
     opts.num_shards = 1;
-    opts.filter_pushdown = pushdown;
-    auto compiled_or = PushdownQuery().Compile(opts);
+    auto compiled_or = PushdownQuery(declare_reads).Compile(opts);
     EXPECT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
     auto compiled = compiled_or.MoveValueUnsafe();
+    EXPECT_EQ(compiled->summary().pushed_filters.size(),
+              declare_reads ? 1u : 0u);
     EXPECT_TRUE(compiled
                     ->PushBatch(compiled->source("src"),
                                 MakeKeyedGaussianStream(400))

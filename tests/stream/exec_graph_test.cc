@@ -29,8 +29,12 @@ TupleBatch Batch(std::initializer_list<Tuple> tuples) {
 TEST(ExecGraphTest, LinearChainPassesBatches) {
   auto graph = std::make_unique<ExecGraph>();
   const auto src = graph->AddSource("src");
+  const auto pos = graph->AddOperator(
+      src, std::make_unique<FilterOperator>("pos", [](const Tuple& t) {
+        return t.value(0).AsDouble() > 0.0;
+      }));
   const auto doubler = graph->AddOperator(
-      src, std::make_unique<MapOperator>(
+      pos, std::make_unique<MapOperator>(
                "double", [](const Tuple& t) -> common::Result<Tuple> {
                  Tuple out = t;
                  out.mutable_value(0) = Value(t.value(0).AsDouble() * 2.0);
@@ -40,12 +44,60 @@ TEST(ExecGraphTest, LinearChainPassesBatches) {
   ASSERT_TRUE(graph->Validate().ok());
 
   DagExecutor exec(std::move(graph));
-  ASSERT_TRUE(exec.PushBatch(src, Batch({V(0, 1.0), V(1, 2.0)})).ok());
+  ASSERT_TRUE(
+      exec.PushBatch(src, Batch({V(0, 1.0), V(1, -1.0), V(2, 3.0)})).ok());
   ASSERT_TRUE(exec.Close().ok());
   const TupleBatch& out = exec.sink_output(sink);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].value(0).AsDouble(), 2.0);
-  EXPECT_EQ(out[1].value(0).AsDouble(), 4.0);
+  EXPECT_EQ(out[1].value(0).AsDouble(), 6.0);
+}
+
+TEST(ExecGraphTest, EmptyPlanPassesThrough) {
+  auto graph = std::make_unique<ExecGraph>();
+  const auto src = graph->AddSource("src");
+  const auto sink = graph->AddSink(src, "sink");
+  DagExecutor exec(std::move(graph));
+  ASSERT_TRUE(exec.Push(src, V(1, 2.0)).ok());
+  ASSERT_TRUE(exec.Close().ok());
+  ASSERT_EQ(exec.sink_output(sink).size(), 1u);
+}
+
+TEST(ExecGraphTest, MapNotFoundDropsTuple) {
+  // NotFound from a map means "drop this tuple", not an error.
+  auto graph = std::make_unique<ExecGraph>();
+  const auto src = graph->AddSource("src");
+  const auto drop_neg = graph->AddOperator(
+      src, std::make_unique<MapOperator>(
+               "drop_neg", [](const Tuple& t) -> common::Result<Tuple> {
+                 if (t.value(0).AsDouble() < 0.0) {
+                   return common::Status::NotFound("dropped");
+                 }
+                 return t;
+               }));
+  const auto sink = graph->AddSink(drop_neg, "sink");
+  DagExecutor exec(std::move(graph));
+  ASSERT_TRUE(exec.PushBatch(src, Batch({V(0, 1.0), V(1, -2.0)})).ok());
+  ASSERT_TRUE(exec.Close().ok());
+  EXPECT_EQ(exec.sink_output(sink).size(), 1u);
+}
+
+TEST(ExecGraphTest, TapObservesWithoutModifying) {
+  int seen = 0;
+  auto graph = std::make_unique<ExecGraph>();
+  const auto src = graph->AddSource("src");
+  const auto tap = graph->AddOperator(
+      src,
+      std::make_unique<TapOperator>("tap", [&seen](const Tuple&) { ++seen; }));
+  const auto sink = graph->AddSink(tap, "sink");
+  DagExecutor exec(std::move(graph));
+  ASSERT_TRUE(exec.PushBatch(src, Batch({V(0, 1.0), V(1, 2.0)})).ok());
+  ASSERT_TRUE(exec.Close().ok());
+  EXPECT_EQ(seen, 2);
+  const TupleBatch& out = exec.sink_output(sink);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].value(0).AsDouble(), 1.0);
+  EXPECT_EQ(out[1].value(0).AsDouble(), 2.0);
 }
 
 TEST(ExecGraphTest, FanOutDeliversToEveryBranch) {
@@ -121,13 +173,13 @@ TEST(ExecGraphTest, FanInJoinMatchesAcrossSources) {
 }
 
 TEST(ExecGraphTest, CloseFlushTraversesDownstreamNodes) {
-  // Window flush output must still pass the downstream filter, exactly
-  // like the seed Pipeline semantics.
+  // Window flush output must still pass the downstream filter.
   auto graph = std::make_unique<ExecGraph>();
   const auto src = graph->AddSource("src");
   const auto win = graph->AddOperator(
       src, std::make_unique<WindowCountOperator>("count",
                                                  WindowSpec::Tumbling(10)));
+  const auto counts = graph->AddSink(win, "counts");
   const auto filt = graph->AddOperator(
       win, std::make_unique<FilterOperator>("gt1", [](const Tuple& t) {
         return t.value(0).AsInt() > 1;
@@ -137,6 +189,11 @@ TEST(ExecGraphTest, CloseFlushTraversesDownstreamNodes) {
   ASSERT_TRUE(
       exec.PushBatch(src, Batch({V(0, 1.0), V(1, 1.0), V(12, 1.0)})).ok());
   ASSERT_TRUE(exec.Close().ok());
+  // Unfiltered: the closed window [0,10) and the flushed [10,20).
+  const TupleBatch& all = exec.sink_output(counts);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].value(0).AsInt(), 2);
+  EXPECT_EQ(all[1].value(0).AsInt(), 1);
   const TupleBatch& out = exec.sink_output(sink);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].value(0).AsInt(), 2);
@@ -145,17 +202,18 @@ TEST(ExecGraphTest, CloseFlushTraversesDownstreamNodes) {
 TEST(ExecGraphTest, MetricsSnapshotCoversOperatorAndJoinNodes) {
   auto graph = std::make_unique<ExecGraph>();
   const auto src = graph->AddSource("src");
-  const auto pass = graph->AddOperator(
-      src, std::make_unique<FilterOperator>("pass",
-                                            [](const Tuple&) { return true; }));
-  graph->AddSink(pass, "sink");
+  const auto half = graph->AddOperator(
+      src, std::make_unique<FilterOperator>("half", [](const Tuple& t) {
+        return t.value(0).AsDouble() > 1.5;
+      }));
+  graph->AddSink(half, "sink");
   DagExecutor exec(std::move(graph));
   ASSERT_TRUE(exec.PushBatch(src, Batch({V(0, 1.0), V(1, 2.0)})).ok());
   const auto metrics = exec.MetricsSnapshot();
   ASSERT_EQ(metrics.size(), 1u);
-  EXPECT_EQ(metrics[0].name, "pass");
+  EXPECT_EQ(metrics[0].name, "half");
   EXPECT_EQ(metrics[0].metrics.tuples_in, 2u);
-  EXPECT_EQ(metrics[0].metrics.tuples_out, 2u);
+  EXPECT_EQ(metrics[0].metrics.tuples_out, 1u);
   EXPECT_EQ(metrics[0].metrics.batches_in, 1u);
 }
 

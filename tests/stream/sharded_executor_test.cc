@@ -1,5 +1,5 @@
 // Sharded executor tests: shard-count determinism on keyed plans, merged
-// metrics, watermark-driven archive eviction, and error propagation.
+// metrics, key placement, and error propagation.
 
 #include "stream/sharded_executor.h"
 
@@ -82,7 +82,7 @@ common::Result<TupleBatch> RunKeyedPlan(size_t num_shards, size_t n) {
       });
   USP_RETURN_NOT_OK(exec_or.status());
   auto exec = exec_or.MoveValueUnsafe();
-  USP_RETURN_NOT_OK(exec->PushBatch(source, MakeKeyedStream(n)));
+  USP_RETURN_NOT_OK(exec->PushBatch(0, source, MakeKeyedStream(n)));
   USP_RETURN_NOT_OK(exec->Finish());
   return exec->TakeSinkOutput(sink);
 }
@@ -122,7 +122,7 @@ TEST(ShardedExecutorTest, PinnedThreadsMatchUnpinnedResults) {
         });
     ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
     auto exec = exec_or.MoveValueUnsafe();
-    ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(2000)).ok());
+    ASSERT_TRUE(exec->PushBatch(0, source, MakeKeyedStream(2000)).ok());
     ASSERT_TRUE(exec->Finish().ok());
     EXPECT_EQ(Canonical(exec->TakeSinkOutput(sink)), reference)
         << "pinned run differs at " << shards << " shards";
@@ -154,7 +154,7 @@ TEST(ShardedExecutorTest, MetricsMergeAcrossShards) {
       });
   ASSERT_TRUE(exec_or.ok());
   auto exec = exec_or.MoveValueUnsafe();
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(1000)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, MakeKeyedStream(1000)).ok());
   ASSERT_TRUE(exec->Finish().ok());
   const auto metrics = exec->MetricsSnapshot();
   // One operator entry plus the appended ingest entry for the source.
@@ -170,53 +170,21 @@ TEST(ShardedExecutorTest, MetricsMergeAcrossShards) {
   EXPECT_EQ(exec->sink_output(sink).size(), 1000u);
 }
 
-TEST(ShardedExecutorTest, WatermarkEvictsArchivedTuples) {
-  ShardedExecutor::Options opts;
-  opts.num_shards = 2;
-  opts.archive_retention_us = 100;
-  ExecGraph::NodeId source = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext& ctx) {
-        source = g->AddSource("src");
-        TupleArchive* archive = ctx.archive;
-        const auto tap = g->AddOperator(
-            source, std::make_unique<TapOperator>(
-                        "archive", [archive](const Tuple& t) {
-                          archive->Archive(t);
-                        }));
-        g->AddSink(tap, "sink");
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok());
-  auto exec = exec_or.MoveValueUnsafe();
-  // Timestamps 0..999: after the watermark reaches ~999, only tuples with
-  // ts >= watermark - 100 may survive in any shard archive.
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(1000)).ok());
-  ASSERT_TRUE(exec->Finish().ok());
-  size_t archived = 0;
-  for (size_t s = 0; s < exec->num_shards(); ++s) {
-    EXPECT_GT(exec->watermark(s), 0);
-    archived += exec->archive(s).size();
-    // At most retention+1 distinct timestamps can survive per shard.
-    EXPECT_LE(exec->archive(s).size(),
-              static_cast<size_t>(opts.archive_retention_us) + 1);
-  }
-  // Without eviction both shards together would hold all 1000 tuples.
-  EXPECT_LT(archived, 1000u);
-}
-
-TEST(ShardedExecutorTest, ShardLocalArchiveSeesOnlyOwnKeys) {
+TEST(ShardedExecutorTest, EachKeyLandsOnTheShardItHashesTo) {
   ShardedExecutor::Options opts;
   opts.num_shards = 4;
   ExecGraph::NodeId source = 0;
+  // Tuple ids each shard's plan observed; slot s is written only by shard
+  // s's worker and read after Finish() joined it.
+  std::vector<std::vector<TupleId>> seen(opts.num_shards);
   auto exec_or = ShardedExecutor::Create(
       opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext& ctx) {
         source = g->AddSource("src");
-        TupleArchive* archive = ctx.archive;
+        std::vector<TupleId>* ids = &seen[ctx.shard_index];
         const auto tap = g->AddOperator(
             source, std::make_unique<TapOperator>(
-                        "archive", [archive](const Tuple& t) {
-                          archive->Archive(t);
+                        "record", [ids](const Tuple& t) {
+                          ids->push_back(t.id());
                         }));
         g->AddSink(tap, "sink");
         return common::Status::OK();
@@ -230,18 +198,18 @@ TEST(ShardedExecutorTest, ShardLocalArchiveSeesOnlyOwnKeys) {
     originals.push_back(t);
     batch.Append(std::move(t));
   }
-  ASSERT_TRUE(exec->PushBatch(source, batch).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, batch).ok());
   ASSERT_TRUE(exec->Finish().ok());
-  // Every tuple is archived in exactly the shard its key hashes to.
+  // Every tuple is processed exactly once, by the shard its key hashes to.
   size_t total = 0;
-  for (size_t s = 0; s < exec->num_shards(); ++s) {
-    total += exec->archive(s).size();
-  }
+  for (const auto& ids : seen) total += ids.size();
   EXPECT_EQ(total, 64u);
   for (const Tuple& t : originals) {
     const size_t expected_shard =
         std::hash<int64_t>{}(t.value(0).AsInt()) % exec->num_shards();
-    EXPECT_TRUE(exec->archive(expected_shard).Lookup(t.id()).ok());
+    const auto& ids = seen[expected_shard];
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), t.id()), 1)
+        << "tuple " << t.id() << " not on shard " << expected_shard;
   }
 }
 
@@ -265,7 +233,7 @@ TEST(ShardedExecutorTest, OperatorErrorSurfacesAtFinish) {
       });
   ASSERT_TRUE(exec_or.ok());
   auto exec = exec_or.MoveValueUnsafe();
-  (void)exec->PushBatch(source, MakeKeyedStream(100));
+  (void)exec->PushBatch(0, source, MakeKeyedStream(100));
   EXPECT_FALSE(exec->Finish().ok());
 }
 
@@ -314,7 +282,7 @@ TEST(ShardedExecutorTest, ShardContextWorkspaceFeedsPaneAggregates) {
         });
     EXPECT_TRUE(exec_or.ok());
     auto exec = exec_or.MoveValueUnsafe();
-    EXPECT_TRUE(exec->PushBatch(source, build_stream()).ok());
+    EXPECT_TRUE(exec->PushBatch(0, source, build_stream()).ok());
     EXPECT_TRUE(exec->Finish().ok());
     return exec->TakeSinkOutput(sink);
   };
@@ -353,7 +321,7 @@ TEST(ShardedExecutorTest, TargetBatchSizeSplitsOversizedBatches) {
   auto exec = exec_or.MoveValueUnsafe();
   // One 1000-tuple push must arrive as target-sized slices (and lose no
   // tuples, keep timestamp order in the merged sink).
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(1000)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, MakeKeyedStream(1000)).ok());
   ASSERT_TRUE(exec->Finish().ok());
   EXPECT_EQ(exec->sink_output(sink).size(), 1000u);
   const auto metrics = exec->MetricsSnapshot();
@@ -380,7 +348,7 @@ TEST(ShardedExecutorTest, TargetBatchSizeKeyedResultsUnchanged) {
       });
   ASSERT_TRUE(exec_or.ok());
   auto exec = exec_or.MoveValueUnsafe();
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(2000)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, MakeKeyedStream(2000)).ok());
   ASSERT_TRUE(exec->Finish().ok());
   auto unsplit = RunKeyedPlan(1, 2000);
   ASSERT_TRUE(unsplit.ok());
@@ -409,7 +377,7 @@ TEST(ShardedExecutorTest, TargetBatchSizeMergesUndersizedBatches) {
   for (size_t off = 0; off < all.size(); off += 3) {
     TupleBatch tiny;
     for (size_t i = off; i < off + 3; ++i) tiny.Append(all[i]);
-    ASSERT_TRUE(exec->PushBatch(source, std::move(tiny)).ok());
+    ASSERT_TRUE(exec->PushBatch(0, source, std::move(tiny)).ok());
   }
   ASSERT_TRUE(exec->Finish().ok());
   EXPECT_EQ(exec->sink_output(sink).size(), 450u);
@@ -450,7 +418,7 @@ TEST(ShardedExecutorTest, TargetBatchSizeMergeSplitRoundTrip) {
       for (size_t i = off; i < off + n; ++i) push.Append(all[i]);
       off += n;
       big = !big;
-      USP_RETURN_NOT_OK(exec->PushBatch(source, std::move(push)));
+      USP_RETURN_NOT_OK(exec->PushBatch(0, source, std::move(push)));
     }
     USP_RETURN_NOT_OK(exec->Finish());
     return exec->TakeSinkOutput(sink);
@@ -497,10 +465,10 @@ TEST(ShardedExecutorTest, MergeBufferFlushesOnSourceChange) {
       });
   ASSERT_TRUE(exec_or.ok());
   auto exec = exec_or.MoveValueUnsafe();
-  ASSERT_TRUE(exec->PushBatch(src_a, MakeKeyedStream(10)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, src_a, MakeKeyedStream(10)).ok());
   // Different source: the 10 buffered "a" tuples must flush now, ahead of
   // the "b" batch.
-  ASSERT_TRUE(exec->PushBatch(src_b, MakeKeyedStream(10)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, src_b, MakeKeyedStream(10)).ok());
   ASSERT_TRUE(exec->Finish().ok());
   EXPECT_EQ(exec->sink_output(sink).size(), 10u);
   const auto metrics = exec->MetricsSnapshot();

@@ -2,7 +2,7 @@
 // executor, fan-in min at joins, watermark-driven window closure (incl.
 // the watermark-only mode for out-of-order join output), monotonicity,
 // the low_watermark / buffered_bytes metric surfaces, and the sharded
-// executor's broadcast + eviction plumbing.
+// executor's broadcast plumbing.
 
 #include <gtest/gtest.h>
 
@@ -341,8 +341,8 @@ TEST(WatermarkTest, ShardedPushWatermarkReachesEveryShard) {
   auto exec = exec_or.MoveValueUnsafe();
   TupleBatch feed;
   for (int64_t i = 0; i < 16; ++i) feed.Append(KV(10 + i, i % 2, 1.0));
-  ASSERT_TRUE(exec->PushBatch(source, std::move(feed)).ok());
-  ASSERT_TRUE(exec->PushWatermark(source, 100).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, std::move(feed)).ok());
+  ASSERT_TRUE(exec->PushWatermark(0, source, 100).ok());
   // Observable pre-Finish through the merged metrics: both shards' window
   // operators saw the watermark and flushed (tuples_out 1 each).
   uint64_t flushed = 0;
@@ -386,7 +386,7 @@ TEST(WatermarkTest, PeriodicGenerationClosesWindowsMidStream) {
   for (int64_t i = 0; i < 30; ++i) {
     TupleBatch b;
     b.Append(KV(i * 10, 0, 1.0));
-    ASSERT_TRUE(exec->PushBatch(source, std::move(b)).ok());
+    ASSERT_TRUE(exec->PushBatch(0, source, std::move(b)).ok());
   }
   // ts reached 290 => watermarks reached >= 250 => windows [0,100) and
   // [100,200) flushed without any explicit watermark call.
@@ -399,60 +399,6 @@ TEST(WatermarkTest, PeriodicGenerationClosesWindowsMidStream) {
   });
   EXPECT_TRUE(converged) << "periodic watermarks never closed a window";
   ASSERT_TRUE(exec->Finish().ok());
-}
-
-TEST(WatermarkTest, SilentSourceWatermarkUnblocksArchiveEviction) {
-  // Eviction clock = min across per-source clocks. A silent source used
-  // to pin it forever; its explicit watermark now advances eviction.
-  ShardedExecutor::Options opts;
-  opts.num_shards = 1;
-  opts.num_ingest_lanes = 2;
-  opts.archive_retention_us = 100;
-  ExecGraph::NodeId fast = 0, silent = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext& ctx) {
-        fast = g->AddSource("fast");
-        silent = g->AddSource("silent");
-        TupleArchive* archive = ctx.archive;
-        const auto tapf = g->AddOperator(
-            fast, std::make_unique<TapOperator>(
-                      "archive_f", [archive](const Tuple& t) {
-                        archive->Archive(t);
-                      }));
-        g->AddSink(tapf, "out_f");
-        const auto taps = g->AddOperator(
-            silent, std::make_unique<TapOperator>(
-                        "archive_s", [archive](const Tuple& t) {
-                          archive->Archive(t);
-                        }));
-        g->AddSink(taps, "out_s");
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
-  auto exec = exec_or.MoveValueUnsafe();
-  // The silent source binds lane 1 and speaks exactly once, early.
-  Tuple early = KV(0, 1, 1.0);
-  const TupleId early_id = early.id();
-  TupleBatch once;
-  once.Append(std::move(early));
-  ASSERT_TRUE(exec->PushBatch(1, silent, std::move(once)).ok());
-  // The fast source streams far past retention.
-  for (int64_t i = 1; i <= 50; ++i) {
-    TupleBatch b;
-    b.Append(KV(i * 100, 0, 2.0));
-    ASSERT_TRUE(exec->PushBatch(0, fast, std::move(b)).ok());
-  }
-  // Silent source announces progress; the eviction clock may now advance
-  // to min(fast_clock, silent_wm) and drop the early tuple.
-  ASSERT_TRUE(exec->PushWatermark(1, silent, 5000).ok());
-  // One more fast push gives the worker an eviction trigger after the
-  // watermark is consumed.
-  TupleBatch trailer;
-  trailer.Append(KV(5100, 0, 2.0));
-  ASSERT_TRUE(exec->PushBatch(0, fast, std::move(trailer)).ok());
-  ASSERT_TRUE(exec->Finish().ok());
-  EXPECT_FALSE(exec->archive(0).Lookup(early_id).ok())
-      << "silent-source watermark failed to unblock archive eviction";
 }
 
 TEST(WatermarkTest, WatermarkCannotOvertakePendingMergeBuffer) {
@@ -477,8 +423,8 @@ TEST(WatermarkTest, WatermarkCannotOvertakePendingMergeBuffer) {
   auto exec = exec_or.MoveValueUnsafe();
   TupleBatch b;
   for (int64_t i = 0; i < 10; ++i) b.Append(KV(i, 0, 1.0));
-  ASSERT_TRUE(exec->PushBatch(source, std::move(b)).ok());
-  ASSERT_TRUE(exec->PushWatermark(source, 100).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, std::move(b)).ok());
+  ASSERT_TRUE(exec->PushWatermark(0, source, 100).ok());
   ASSERT_TRUE(exec->Finish().ok());
   // One window, one count of 10 — a watermark overtaking the buffered
   // tuples would have produced a 0-count flush plus a late re-flush.
