@@ -5,9 +5,9 @@
 // across PRs. `--smoke` shrinks the stream for sanitizer CI runs.
 //
 // The plan is declared once with the query builder; the planner's
-// aggregate-path force knobs (kForceNaive / kForcePaned) select the
-// physical operator, which is exactly what an application would get from
-// kAuto on tumbling resp. sliding windows.
+// aggregate-path knob selects the physical operator: kAuto is the
+// pane-incremental path every application gets, kForceNaive the exact
+// per-window reference path.
 
 #include <cstdio>
 #include <cstring>
@@ -80,7 +80,7 @@ double RunPlan(WindowSpec spec, bool paned, const std::vector<Tuple>& stream,
   // Pin one shard: this bench measures the window kernels themselves, so
   // the planner's auto-sharding (machine-dependent) must not kick in.
   opts.num_shards = 1;
-  opts.aggregate_path = paned ? PlannerOptions::AggregatePath::kForcePaned
+  opts.aggregate_path = paned ? PlannerOptions::AggregatePath::kAuto
                               : PlannerOptions::AggregatePath::kForceNaive;
   auto compiled_or = q.Compile(opts);
   if (!compiled_or.ok()) return 0.0;

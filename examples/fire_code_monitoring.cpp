@@ -16,11 +16,13 @@
 //
 // The query is DECLARED, not wired: the logical plan below says
 // map -> window -> group-by -> sum -> having, and `Compile({num_shards=4})`
-// makes every physical choice — it builds the per-shard graphs, keeps the
-// exact per-window SUM kernel (tumbling window), and derives the ingest
-// partition key from the group-by key by replaying the annotate map, so
-// one area's tuples always land on one shard and the per-area sums are
-// exact with zero cross-shard coordination.
+// makes every physical choice — it builds the per-shard graphs, keeps
+// each 5 s tumbling window as one pane of per-area CF-approx partials (no
+// tuple is buffered; the result is bitwise the exact per-window SUM), and
+// derives the ingest partition key from the group-by key by replaying the
+// annotate map, which computes the area, so one area's tuples always land
+// on one shard and the per-area sums are exact with zero cross-shard
+// coordination.
 //
 // Build & run:  ./build/examples/fire_code_monitoring
 

@@ -36,7 +36,8 @@ namespace usp {
 namespace query {
 
 /// Aggregate functions the planner knows how to materialise on both the
-/// naive (exact per-window) and pane-incremental physical paths.
+/// pane-incremental physical path (its choice for every window) and the
+/// naive exact per-window reference path.
 enum class AggregateKind : uint8_t { kSum, kAvg, kMax, kMin, kCount };
 
 const char* AggregateKindName(AggregateKind kind);
@@ -48,8 +49,8 @@ struct AggregateDecl {
   /// Input attribute aggregated over (ignored for kCount).
   size_t attr_index = 0;
   /// SUM/AVG algorithm from the paper's Table 2 (§5.1). The planner turns
-  /// this into a per-shard SumStrategy instance (naive path) or the
-  /// matching pane partial (incremental path).
+  /// this into the matching pane partial (incremental path) or, when the
+  /// naive reference path is forced, a per-shard SumStrategy instance.
   uncertain::SumStrategyKind strategy = uncertain::SumStrategyKind::kClt;
   /// Output histogram resolution for kMax/kMin order statistics.
   size_t bins = 256;

@@ -48,8 +48,9 @@ struct ShardKeyDecision {
 /// Physical partition key for sharded execution. The caller's override
 /// wins; otherwise the key is derived from the (single) group-by so that
 /// one group's tuples always land on one shard: hash the group key
-/// directly when only filters precede the group-by, or replay the (pure)
-/// upstream map functions at ingest when maps sit in between.
+/// directly when only filters and key-preserving maps precede the
+/// group-by, or replay the (pure) upstream map functions at ingest up to
+/// the last map that may rewrite the key.
 common::Result<ShardKeyDecision> DeriveShardKey(const LogicalPlan& plan) {
   if (plan.partition_key()) {
     ShardKeyDecision d;
@@ -114,14 +115,20 @@ common::Result<ShardKeyDecision> DeriveShardKey(const LogicalPlan& plan) {
         "ungrouped (global) aggregate cannot be hash-sharded: every tuple "
         "belongs to one group, so use num_shards = 1");
   }
-  // Walk the path source -> group-by input, collecting the maps the key
-  // would need replayed (source-to-aggregate order).
+  // Walk the path group-by input -> source, collecting the maps the key
+  // needs replayed. Maps between the group-by and the last map that may
+  // rewrite the key attribute declare (preserved_prefix) that they pass
+  // it through unchanged, so they are skipped — the same declaration
+  // filter pushdown trusts. Every map upstream of a key-rewriting map is
+  // kept: it may append an attribute the rewriting map reads.
   std::vector<stream::MapOperator::MapFn> maps;
   LogicalPlan::NodeId cur = agg.inputs[0];
   while (plan.kind(cur) != LogicalPlan::NodeKind::kSource) {
     const LogicalPlan::Node& n = plan.node(cur);
     if (n.kind == LogicalPlan::NodeKind::kMap) {
-      maps.push_back(n.map);
+      const bool keeps_key = maps.empty() && agg.group_key_attr.has_value() &&
+                             *agg.group_key_attr < n.map_preserved_prefix;
+      if (!keeps_key) maps.push_back(n.map);
     } else if (n.kind != LogicalPlan::NodeKind::kFilter) {
       return common::Status::InvalidArgument(
           "cannot derive a shard key through '" + n.name +
@@ -193,16 +200,15 @@ common::Status BuildGraph(const LogicalPlan& plan,
             std::make_unique<stream::MapOperator>(n.name, n.map));
         break;
       case LogicalPlan::NodeKind::kAggregate: {
-        // The planner's headline decision: pane-incremental aggregation
-        // exactly when windows overlap (slide < size), where each tuple
-        // would otherwise be re-aggregated once per overlapping window;
-        // tumbling windows use the exact per-window kernels (bitwise-
-        // identical results, no pane bookkeeping).
-        const bool paned =
-            options.aggregate_path ==
-                PlannerOptions::AggregatePath::kForcePaned ||
-            (options.aggregate_path == PlannerOptions::AggregatePath::kAuto &&
-             n.window->slide_us < n.window->size_us);
+        // Pane-incremental aggregation for every window: overlapping
+        // windows accumulate each tuple once per pane instead of once per
+        // window, and a tumbling window is one pane of per-group partials,
+        // so no tuple is copied into a window buffer. Single-pane windows
+        // finalize through the exact per-window kernels, so tumbling
+        // results are bitwise-identical to the naive operator, which
+        // kForceNaive keeps as the reference path.
+        const bool paned = options.aggregate_path !=
+                           PlannerOptions::AggregatePath::kForceNaive;
         const bool watermark_only =
             id < watermark_only_aggs.size() && watermark_only_aggs[id];
         // Cross-group CF grid sharing: when this aggregate runs CF

@@ -3,9 +3,11 @@
 // choice the repo's examples used to hand-wire —
 //
 //   * aggregation path: PanedGroupByAggregateOperator (pane-incremental)
-//     whenever the window overlaps (slide < size); the exact per-window
-//     GroupByAggregateOperator for tumbling windows, where naive and paned
-//     results are bitwise-identical anyway and naive avoids pane overhead;
+//     for every window. Overlapping windows pay each tuple once per pane;
+//     a tumbling window is one pane of per-group partials, so no tuple is
+//     copied into a window buffer, and its results are bitwise-identical
+//     to the exact per-window GroupByAggregateOperator (kept as the
+//     reference path behind AggregatePath::kForceNaive);
 //   * SUM/AVG strategies: one SumStrategy instance per shard (aggregate
 //     state never crosses threads), with CF-inversion strategies wired to
 //     the shard's CfInversionWorkspace (ShardContext::cf_workspace) so the
@@ -14,13 +16,14 @@
 //     a ShardedExecutor otherwise;
 //   * ingest partition key (sharded only): the caller's PartitionBy()
 //     override if present, else derived from the group-by key — hashed
-//     directly when only filters sit between the source and the group-by,
-//     or by replaying the intermediate (pure) map functions on the ingest
-//     thread when maps do. Underivable cases (joins with no override,
-//     ungrouped aggregates, multiple group-bys) fail Compile() with an
-//     actionable Status instead of silently mis-partitioning — unless the
-//     shard count itself was auto, in which case the planner falls back
-//     to one shard and says why in the summary;
+//     directly when only filters and maps whose preserved prefix covers
+//     the key attribute sit between the source and the group-by, or by
+//     replaying on the ingest thread the (pure) map functions up to the
+//     last one that may rewrite the key. Underivable cases (joins with no
+//     override, ungrouped aggregates, multiple group-bys) fail Compile()
+//     with an actionable Status instead of silently mis-partitioning —
+//     unless the shard count itself was auto, in which case the planner
+//     falls back to one shard and says why in the summary;
 //   * physical auto-tuning (each overridable in PlannerOptions): shard
 //     count from std::thread::hardware_concurrency(), one ingest lane per
 //     source on sharded plans so multi-sensor feeds push from their own
@@ -82,9 +85,10 @@ struct PlannerOptions {
   size_t target_batch_size = kAutoBatchSize;
 
   /// Physical aggregation path selection. kAuto implements the planner
-  /// rule (paned iff the window overlaps); the force knobs exist for
-  /// benchmarks and equivalence tests, not applications.
-  enum class AggregatePath { kAuto, kForceNaive, kForcePaned };
+  /// rule (pane-incremental for every window); kForceNaive selects the
+  /// exact per-window reference operator for benchmarks and equivalence
+  /// tests, not applications.
+  enum class AggregatePath { kAuto, kForceNaive };
   AggregatePath aggregate_path = AggregatePath::kAuto;
 
   /// Grid resolution for CF-inversion SUM/AVG (FFT points / output bins).
@@ -156,8 +160,10 @@ struct PlanSummary {
   enum class ShardKeySource {
     kNone,              ///< single shard, no partitioning
     kExplicit,          ///< caller's PartitionBy() override
-    kGroupKey,          ///< hash of the group key, evaluated at ingest
-    kReplayedGroupKey,  ///< group key after replaying upstream maps
+    kGroupKey,          ///< hash of the group key read off the raw tuple
+                        ///< (upstream maps, if any, all preserve it)
+    kReplayedGroupKey,  ///< group key after replaying the upstream maps
+                        ///< up to the last one that may rewrite it
   };
   ShardKeySource shard_key_source = ShardKeySource::kNone;
 

@@ -68,7 +68,9 @@ class Query {
   /// `preserved_prefix` (optional) declares that input attributes
   /// [0, preserved_prefix) pass through unchanged at the same indices —
   /// the usual annotate-by-appending shape — which enables the planner's
-  /// filter pushdown for filters that read only those attributes.
+  /// filter pushdown for filters that read only those attributes, and
+  /// spares the map's replay at ingest when the prefix covers the group
+  /// key the shard key derives from.
   Query Map(std::string name, stream::MapOperator::MapFn fn,
             size_t output_arity = 0, size_t preserved_prefix = 0) const;
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <limits>
 #include <numeric>
+#include <string_view>
 
 #include "stream/batch.h"
 
@@ -79,24 +81,27 @@ int64_t PanedGroupByAggregateOperator::EarliestOpenWindowStart() const {
   return s;
 }
 
-common::Status PanedGroupByAggregateOperator::AddToPane(
-    Pane& pane, const Tuple& tuple, const std::string& key) {
-  // Tuple-rate estimate of the pane-partial + lineage state this tuple
-  // adds; mirrored into the buffered_bytes gauge so pane-buffer growth is
-  // observable alongside the naive path's window buffers.
-  const uint64_t approx = tuple.ApproxBytes();
-  pane.approx_bytes += approx;
-  buffered_bytes_ += approx;
-  mutable_metrics().buffered_bytes = buffered_bytes_;
-  auto [it, inserted] = pane.groups.try_emplace(key);
+common::Status PanedGroupByAggregateOperator::AddToPane(Pane& pane,
+                                                        const Tuple& tuple,
+                                                        std::string key) {
+  // The gauge charges what the pane keeps: each tuple's lineage ids, and
+  // per new group its key and partial slots (the tuple itself is not
+  // retained).
+  uint64_t bytes = tuple.lineage().size() * sizeof(TupleId);
+  auto [it, inserted] = pane.groups.try_emplace(std::move(key));
   GroupState& gs = it->second;
   if (inserted) {
-    pane.order.push_back(&it->first);
+    pane.order.emplace_back(&it->first, &gs);
     gs.partials.reserve(slot_rep_.size());
     for (const size_t rep : slot_rep_) {
       gs.partials.push_back(aggregates_[rep].make_partial());
     }
+    bytes += sizeof(*it) + it->first.size() +
+             slot_rep_.size() * sizeof(std::unique_ptr<PanePartial>);
   }
+  pane.approx_bytes += bytes;
+  buffered_bytes_ += bytes;
+  mutable_metrics().buffered_bytes = buffered_bytes_;
   // One accumulation per SLOT: columns sharing a partial_signature (e.g.
   // SUM and AVG of one attribute) pay the per-tuple work once.
   for (size_t s = 0; s < slot_rep_.size(); ++s) {
@@ -109,52 +114,66 @@ common::Status PanedGroupByAggregateOperator::AddToPane(
 }
 
 common::Status PanedGroupByAggregateOperator::Add(const Tuple& tuple,
-                                                  const std::string& key) {
+                                                  std::string key) {
   const int64_t pane_start = FloorToMultiple(tuple.timestamp(), pane_us_);
   const bool was_empty = panes_.empty();
   Pane& pane = panes_[pane_start];
   if (was_empty) {
     next_close_end_ = EarliestOpenWindowStart() + spec_.size_us;
   }
-  return AddToPane(pane, tuple, key);
+  return AddToPane(pane, tuple, std::move(key));
 }
 
 common::Status PanedGroupByAggregateOperator::EmitWindow(int64_t start,
                                                          Collector* out) {
   const int64_t end = start + spec_.size_us;
-  // Collect the window's groups in first-seen arrival order: panes are
-  // time-ordered and each pane records its own first-seen order, so the
-  // first pane mentioning a key determines its position.
-  std::vector<const std::string*> order;
-  std::map<std::string, std::vector<GroupState*>> groups;
-  const auto pane_end = panes_.lower_bound(end);
-  for (auto it = panes_.lower_bound(start); it != pane_end; ++it) {
-    for (const std::string* key : it->second.order) {
-      auto [git, inserted] = groups.try_emplace(*key);
-      if (inserted) order.push_back(&git->first);
-      git->second.push_back(&it->second.groups.at(*key));
-    }
-  }
   std::vector<PanePartial*> partials;
-  for (const std::string* key : order) {
-    const std::vector<GroupState*>& states = groups[*key];
-    Tuple result(end, {Value(*key)});
+  // One output row from the group's states (ascending pane order).
+  auto emit_group = [&](const std::string& key, GroupState* const* states,
+                        size_t num_states) -> common::Status {
+    Tuple result(end, {Value(key)});
     for (size_t a = 0; a < aggregates_.size(); ++a) {
       partials.clear();
-      for (GroupState* gs : states) {
-        partials.push_back(gs->partials[slot_of_[a]].get());
+      for (size_t i = 0; i < num_states; ++i) {
+        partials.push_back(states[i]->partials[slot_of_[a]].get());
       }
       auto v = aggregates_[a].finalize(partials);
       if (!v.ok()) return v.status();
       result.AppendValue(v.MoveValueUnsafe());
     }
     std::vector<TupleId> lineage;
-    for (const GroupState* gs : states) {
-      lineage.insert(lineage.end(), gs->lineage.begin(), gs->lineage.end());
+    for (size_t i = 0; i < num_states; ++i) {
+      lineage.insert(lineage.end(), states[i]->lineage.begin(),
+                     states[i]->lineage.end());
     }
     result.SetLineage(std::move(lineage));
-    if (having_ && !having_(result)) continue;
-    out->Emit(std::move(result));
+    if (!having_ || having_(result)) out->Emit(std::move(result));
+    return common::Status::OK();
+  };
+  const auto first = panes_.lower_bound(start);
+  const auto last = panes_.lower_bound(end);
+  if (first != last && std::next(first) == last) {
+    // One pane (every tumbling window): its first-seen order is the
+    // window's.
+    for (const auto& [key, gs] : first->second.order) {
+      USP_RETURN_NOT_OK(emit_group(*key, &gs, 1));
+    }
+  } else {
+    // Panes are time-ordered and each records its own first-seen order,
+    // so the first pane mentioning a key fixes its position.
+    std::unordered_map<std::string_view, size_t> index;
+    std::vector<std::pair<const std::string*, std::vector<GroupState*>>>
+        groups;
+    for (auto it = first; it != last; ++it) {
+      for (const auto& [key, gs] : it->second.order) {
+        const auto [slot, inserted] = index.try_emplace(*key, groups.size());
+        if (inserted) groups.emplace_back(key, std::vector<GroupState*>());
+        groups[slot->second].second.push_back(gs);
+      }
+    }
+    for (const auto& [key, states] : groups) {
+      USP_RETURN_NOT_OK(emit_group(*key, states.data(), states.size()));
+    }
   }
   if (grid_cache_probe_) {
     const auto [hits, misses] = grid_cache_probe_();

@@ -1,12 +1,16 @@
-// Pane-based windowed group-by-aggregate: the incremental sliding-window
-// path. A pane is the gcd(size, slide)-aligned time segment; every window
-// is a union of consecutive panes, so per-tuple work (key extraction,
-// aggregate accumulation) happens once per pane instead of once per
-// overlapping window. Aggregates plug in as type-erased pane partials
-// (PaneAggregateSpec); the uncertain:: layer provides partials that exploit
-// additivity of the paper's §5.1 math — running cumulant sums for CLT /
-// CF-approx SUM, cached per-pane CF grids for CF-inversion SUM, and
-// accumulated log-CDF grids for MAX/MIN order statistics.
+// Pane-based windowed group-by-aggregate: the planner's aggregation path
+// for every window. A pane is the gcd(size, slide)-aligned time segment;
+// every window is a union of consecutive panes, so per-tuple work (key
+// extraction, aggregate accumulation) happens once per pane instead of
+// once per overlapping window, and a tumbling window is a single pane of
+// per-group partials — no tuple is copied into a window buffer.
+// Aggregates plug in as type-erased pane partials (PaneAggregateSpec); the
+// uncertain:: layer provides partials that exploit additivity of the
+// paper's §5.1 math — running cumulant sums for CLT SUM, the two cumulant
+// probe CF products for CF-approx SUM, cached per-pane CF grids for
+// CF-inversion SUM, and accumulated log-CDF grids for MAX/MIN order
+// statistics — and finalizes single-pane windows with the exact
+// per-window kernels.
 //
 // Semantics match GroupByAggregateOperator exactly: windows close on event
 // time (a tuple with ts >= end arrives, or end-of-stream), outputs are
@@ -22,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -109,17 +114,19 @@ class PanedGroupByAggregateOperator final : public Operator {
     std::vector<TupleId> lineage;
   };
   struct Pane {
-    std::map<std::string, GroupState> groups;
-    std::vector<const std::string*> order;  // first-seen group order
-    /// Approx bytes charged to this pane (tuple-rate estimate of partial
-    /// state + lineage), subtracted from the gauge when the pane evicts.
+    /// Node-based: keys and states keep their addresses as the pane
+    /// grows, so `order` can point into it. Iteration order is unused.
+    std::unordered_map<std::string, GroupState> groups;
+    /// The pane's groups in first-seen arrival order.
+    std::vector<std::pair<const std::string*, GroupState*>> order;
+    /// Approx bytes charged to this pane (lineage ids, plus key and
+    /// partial slots per group), subtracted from the gauge on eviction.
     uint64_t approx_bytes = 0;
   };
 
-  common::Status Add(const Tuple& tuple, const std::string& key);
+  common::Status Add(const Tuple& tuple, std::string key);
   /// Shared accumulation body of the per-tuple and batch paths.
-  common::Status AddToPane(Pane& pane, const Tuple& tuple,
-                           const std::string& key);
+  common::Status AddToPane(Pane& pane, const Tuple& tuple, std::string key);
   common::Status CloseWindowsBefore(int64_t ts, Collector* out);
   common::Status EmitWindow(int64_t start, Collector* out);
   /// Drop leading panes fully covered by the just-emitted window `start`,

@@ -1,9 +1,10 @@
 // Planner decision tests: builder-compiled plans are result-identical to
 // the hand-wired graphs they replaced (bitwise for tumbling windows,
-// tolerance for sliding), pane-incremental aggregation is chosen iff the
-// window overlaps, shard keys derive from the group-by (replaying
-// upstream maps when needed), and invalid logical plans fail at Compile()
-// with actionable statuses instead of failing at runtime.
+// tolerance for sliding), pane-incremental aggregation is chosen for
+// every window unless the naive reference path is forced, shard keys
+// derive from the group-by (replaying upstream maps only up to the last
+// one that may rewrite the key), and invalid logical plans fail at
+// Compile() with actionable statuses instead of failing at runtime.
 //
 // Hand-wired ExecGraph construction is allowed HERE (and inside the
 // planner) precisely because these are the graph-level equivalence
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -28,6 +30,7 @@
 #include "stream/sharded_executor.h"
 #include "uncertain/aggregates.h"
 #include "uncertain/join_predicates.h"
+#include "uncertain/selection.h"
 #include "uncertain/sum_strategies.h"
 
 namespace usp {
@@ -244,7 +247,11 @@ TEST(PlannerTest, Q1ShardKeyIsReplayedGroupKey) {
   EXPECT_EQ(s.shard_key_source,
             PlanSummary::ShardKeySource::kReplayedGroupKey);
   ASSERT_EQ(s.aggregates.size(), 1u);
-  EXPECT_FALSE(s.aggregates[0].paned);  // tumbling => exact per-window
+  EXPECT_TRUE(s.aggregates[0].paned);  // tumbling => one pane per window
+  opts.aggregate_path = PlannerOptions::AggregatePath::kForceNaive;
+  auto naive_or = Q1Builder().Compile(opts);
+  ASSERT_TRUE(naive_or.ok()) << naive_or.status().ToString();
+  EXPECT_FALSE(naive_or.value()->summary().aggregates[0].paned);
 }
 
 // ---- Q2: fan-in join, hand-wired vs. builder ----------------------------
@@ -370,9 +377,11 @@ Query KeyedSumQuery(WindowSpec spec) {
       .Sink("out");
 }
 
-common::Result<TupleBatch> RunKeyedSum(WindowSpec spec,
-                                       const PlannerOptions& opts) {
-  auto compiled_or = KeyedSumQuery(spec).Compile(opts);
+/// Compiles `q` (source "src", sink "out") and runs it over
+/// MakeKeyedGaussianStream(500).
+common::Result<TupleBatch> RunQuery(const Query& q,
+                                    const PlannerOptions& opts) {
+  auto compiled_or = q.Compile(opts);
   USP_RETURN_NOT_OK(compiled_or.status());
   auto compiled = compiled_or.MoveValueUnsafe();
   USP_RETURN_NOT_OK(compiled->PushBatch(compiled->source("src"),
@@ -381,35 +390,31 @@ common::Result<TupleBatch> RunKeyedSum(WindowSpec spec,
   return compiled->TakeResult(compiled->sink("out"));
 }
 
-TEST(PlannerTest, PanedAggregationChosenIffWindowOverlaps) {
-  auto sliding = KeyedSumQuery(WindowSpec::Sliding(100, 25)).Compile();
-  auto tumbling = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile();
-  ASSERT_TRUE(sliding.ok());
-  ASSERT_TRUE(tumbling.ok());
-  ASSERT_EQ(sliding.value()->summary().aggregates.size(), 1u);
-  EXPECT_TRUE(sliding.value()->summary().aggregates[0].paned);
-  EXPECT_FALSE(tumbling.value()->summary().aggregates[0].paned);
+common::Result<TupleBatch> RunKeyedSum(WindowSpec spec,
+                                       const PlannerOptions& opts) {
+  return RunQuery(KeyedSumQuery(spec), opts);
 }
 
-TEST(PlannerTest, ForceKnobsOverrideAggregatePath) {
-  PlannerOptions force_paned;
-  force_paned.aggregate_path = PlannerOptions::AggregatePath::kForcePaned;
+TEST(PlannerTest, PanedAggregationChosenUnlessNaiveForced) {
   PlannerOptions force_naive;
   force_naive.aggregate_path = PlannerOptions::AggregatePath::kForceNaive;
-  auto paned = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(force_paned);
-  auto naive =
-      KeyedSumQuery(WindowSpec::Sliding(100, 25)).Compile(force_naive);
-  ASSERT_TRUE(paned.ok());
-  ASSERT_TRUE(naive.ok());
-  EXPECT_TRUE(paned.value()->summary().aggregates[0].paned);
-  EXPECT_FALSE(naive.value()->summary().aggregates[0].paned);
+  for (const WindowSpec spec :
+       {WindowSpec::Sliding(100, 25), WindowSpec::Tumbling(100)}) {
+    auto paned = KeyedSumQuery(spec).Compile();
+    auto naive = KeyedSumQuery(spec).Compile(force_naive);
+    ASSERT_TRUE(paned.ok());
+    ASSERT_TRUE(naive.ok());
+    ASSERT_EQ(paned.value()->summary().aggregates.size(), 1u);
+    EXPECT_TRUE(paned.value()->summary().aggregates[0].paned);
+    EXPECT_FALSE(naive.value()->summary().aggregates[0].paned);
+  }
 }
 
 TEST(PlannerTest, TumblingPanedAndNaiveAreBitwiseIdentical) {
-  PlannerOptions force_paned;
-  force_paned.aggregate_path = PlannerOptions::AggregatePath::kForcePaned;
-  auto naive = RunKeyedSum(WindowSpec::Tumbling(100), PlannerOptions{});
-  auto paned = RunKeyedSum(WindowSpec::Tumbling(100), force_paned);
+  PlannerOptions force_naive;
+  force_naive.aggregate_path = PlannerOptions::AggregatePath::kForceNaive;
+  auto naive = RunKeyedSum(WindowSpec::Tumbling(100), force_naive);
+  auto paned = RunKeyedSum(WindowSpec::Tumbling(100), PlannerOptions{});
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(paned.ok());
   ASSERT_FALSE(naive.value().empty());
@@ -435,6 +440,123 @@ TEST(PlannerTest, SlidingPanedMatchesNaiveWithinTolerance) {
     EXPECT_NEAR(da.Mean(), db.Mean(), 1e-6);
     EXPECT_NEAR(da.Stddev(), db.Stddev(), 1e-6);
   }
+}
+
+// ---- shard-key replay rule ----------------------------------------------
+
+/// Q1 shape whose annotate map appends P(weight > 5) and declares the
+/// source attributes (the group key among them) preserved. `map_calls`
+/// counts every invocation of the map function.
+Query PreservingQ1(std::atomic<int>* map_calls) {
+  return Query::From("src", 2)
+      .Map("annotate",
+           [map_calls](const Tuple& t) -> common::Result<Tuple> {
+             map_calls->fetch_add(1, std::memory_order_relaxed);
+             Tuple out = t;
+             out.AppendValue(Value(uncertain::PredicateProbability(
+                 t.value(1), uncertain::PredicateOp::kGreaterThan, 5.0)));
+             return out;
+           },
+           3, /*preserved_prefix=*/2)
+      .Window(WindowSpec::Tumbling(100))
+      .GroupBy(0)
+      .Sum("total", 1, uncertain::SumStrategyKind::kCfApprox)
+      .Having(uncertain::MakeHavingProbGreater(1, 0.0, 0.5))
+      .Sink("out");
+}
+
+/// Two chained maps: `bucket` appends attribute 2 (preserving the source
+/// attributes, the group key among them), then `rekey` overwrites the
+/// group key (attribute 0) with a value computed from attribute 2. The
+/// key is rewritten by `rekey`, which reads what `bucket` appended, so
+/// both must be replayed at ingest even though `bucket` alone would keep
+/// the key.
+Query ChainedKeyQuery(std::atomic<int>* bucket_calls,
+                      std::atomic<int>* rekey_calls) {
+  return Query::From("src", 2)
+      .Map("bucket",
+           [bucket_calls](const Tuple& t) -> common::Result<Tuple> {
+             bucket_calls->fetch_add(1, std::memory_order_relaxed);
+             Tuple out = t;
+             out.AppendValue(Value(t.value(0).AsInt() * 7 + 1));
+             return out;
+           },
+           3, /*preserved_prefix=*/2)
+      .Map("rekey",
+           [rekey_calls](const Tuple& t) -> common::Result<Tuple> {
+             rekey_calls->fetch_add(1, std::memory_order_relaxed);
+             if (t.num_values() < 3) {
+               return common::Status::OutOfRange("bucket attribute missing");
+             }
+             Tuple out = t;
+             out.mutable_value(0) =
+                 Value("k" + std::to_string(t.value(2).AsInt() % 3));
+             return out;
+           },
+           3)
+      .Window(WindowSpec::Tumbling(100))
+      .GroupBy(0)
+      .Sum("total", 1, uncertain::SumStrategyKind::kCfApprox)
+      .Sink("out");
+}
+
+TEST(PlannerTest, KeyPreservingMapIsNotReplayedAtIngest) {
+  std::atomic<int> calls{0};
+  PlannerOptions four, one;
+  four.num_shards = 4;
+  one.num_shards = 1;
+  auto compiled_or = PreservingQ1(&calls).Compile(four);
+  ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+  EXPECT_EQ(compiled_or.value()->summary().shard_key_source,
+            PlanSummary::ShardKeySource::kGroupKey);
+  // The in-graph map runs once per tuple; ingest hashes the raw key.
+  auto four_or = RunQuery(PreservingQ1(&calls), four);
+  ASSERT_TRUE(four_or.ok()) << four_or.status().ToString();
+  EXPECT_EQ(calls.load(), 500);
+  auto one_or = RunQuery(PreservingQ1(&calls), one);
+  ASSERT_TRUE(one_or.ok()) << one_or.status().ToString();
+  ASSERT_FALSE(one_or.value().empty());
+  EXPECT_EQ(Canonical(one_or.value()), Canonical(four_or.value()));
+}
+
+TEST(PlannerTest, KeyComputingMapReplaysEveryUpstreamMap) {
+  std::atomic<int> bucket_calls{0}, rekey_calls{0};
+  PlannerOptions four, one;
+  four.num_shards = 4;
+  one.num_shards = 1;
+  auto compiled_or =
+      ChainedKeyQuery(&bucket_calls, &rekey_calls).Compile(four);
+  ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+  EXPECT_EQ(compiled_or.value()->summary().shard_key_source,
+            PlanSummary::ShardKeySource::kReplayedGroupKey);
+  // Both maps run at ingest (the key needs what `bucket` appended) and
+  // again in the graph.
+  auto four_or = RunQuery(ChainedKeyQuery(&bucket_calls, &rekey_calls), four);
+  ASSERT_TRUE(four_or.ok()) << four_or.status().ToString();
+  EXPECT_EQ(bucket_calls.load(), 1000);
+  EXPECT_EQ(rekey_calls.load(), 1000);
+  auto one_or = RunQuery(ChainedKeyQuery(&bucket_calls, &rekey_calls), one);
+  ASSERT_TRUE(one_or.ok()) << one_or.status().ToString();
+  ASSERT_FALSE(one_or.value().empty());
+  EXPECT_EQ(Canonical(one_or.value()), Canonical(four_or.value()));
+}
+
+TEST(PlannerTest, SummaryToStringNamesShardKeySource) {
+  std::atomic<int> calls{0};
+  PlannerOptions opts;
+  opts.num_shards = 4;
+  auto hashed_or = PreservingQ1(&calls).Compile(opts);
+  auto replayed_or = ChainedKeyQuery(&calls, &calls).Compile(opts);
+  ASSERT_TRUE(hashed_or.ok()) << hashed_or.status().ToString();
+  ASSERT_TRUE(replayed_or.ok()) << replayed_or.status().ToString();
+  const std::string hashed = hashed_or.value()->summary().ToString();
+  const std::string replayed = replayed_or.value()->summary().ToString();
+  EXPECT_NE(hashed.find("partition key: hashed group key"), std::string::npos)
+      << hashed;
+  EXPECT_NE(hashed.find("pane-incremental"), std::string::npos) << hashed;
+  EXPECT_NE(replayed.find("partition key: group key via replayed maps"),
+            std::string::npos)
+      << replayed;
 }
 
 TEST(PlannerTest, ShardedKeyedSumMatchesSingleShard) {

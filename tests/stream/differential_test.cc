@@ -11,6 +11,11 @@
 //      one shard over the same tuple subsequence, only merge order may
 //      differ.
 //
+// A second, exhaustive check pins the planner's tumbling-window decision:
+// for every aggregate (SUM and AVG under each SumStrategyKind, MAX, MIN,
+// COUNT) the pane path must reproduce the naive path's rows bit for bit —
+// values, lineage, HAVING decisions and row order — at 1 and 4 shards.
+//
 // On failure the offending seed + configuration is printed for replay:
 //   stream_differential_test --gtest_filter='*Seed*' and the seed shown.
 
@@ -18,13 +23,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "query/planner.h"
 #include "query/query.h"
 #include "seeded_plan_generator.h"
+#include "stats/gaussian_mixture.h"
+#include "stats/histogram.h"
 #include "stats/simd/dispatch.h"
+#include "uncertain/aggregates.h"
+#include "uncertain/sum_strategies.h"
 
 namespace usp {
 namespace stream {
@@ -121,7 +135,7 @@ void RunSeed(uint64_t seed) {
   const GeneratedPlan plan = GeneratePlan(seed);
   SCOPED_TRACE("replay: " + plan.ToString());
 
-  // Baseline: single shard, planner-chosen aggregate path.
+  // Baseline: single shard, planner-chosen (pane-incremental) path.
   auto base_or = Run(plan, BaseOptions());
   ASSERT_TRUE(base_or.ok()) << base_or.status().ToString();
   const std::vector<Row> base = Rows(base_or.value());
@@ -130,18 +144,13 @@ void RunSeed(uint64_t seed) {
   // (1) naive vs. paned on one shard.
   PlannerOptions naive_opts = BaseOptions();
   naive_opts.aggregate_path = PlannerOptions::AggregatePath::kForceNaive;
-  PlannerOptions paned_opts = BaseOptions();
-  paned_opts.aggregate_path = PlannerOptions::AggregatePath::kForcePaned;
   auto naive_or = Run(plan, naive_opts);
-  auto paned_or = Run(plan, paned_opts);
   ASSERT_TRUE(naive_or.ok()) << naive_or.status().ToString();
-  ASSERT_TRUE(paned_or.ok()) << paned_or.status().ToString();
   const bool tumbling = plan.window.slide_us == plan.window.size_us;
   // Tumbling: the paned operator delegates to the exact per-window
   // kernels — bitwise. Sliding: same math, different FP association —
   // tight tolerance.
-  ExpectRowsEqual(Rows(naive_or.value()), Rows(paned_or.value()),
-                  tumbling ? 0.0 : 1e-9);
+  ExpectRowsEqual(Rows(naive_or.value()), base, tumbling ? 0.0 : 1e-9);
 
   // (2) shard-count invariance: 1 vs 2 vs 4 shards, bitwise as sets
   // (every group runs wholly on one shard over the same subsequence).
@@ -207,6 +216,163 @@ TEST(DifferentialTest, ScalarDispatchMatchesActiveTierBitwise) {
     }
   }
 }
+
+// ---- tumbling windows: paned vs. naive, every aggregate, bitwise --------
+
+/// Exact rendering of a value: doubles in hex-float, histogram outputs
+/// (CF inversion, order statistics) bin by bin.
+std::string ExactRender(const Value& v) {
+  char buf[64];
+  if (v.is_distribution()) {
+    const stats::Distribution& d = *v.AsDistribution();
+    std::string out = stats::DistTypeName(d.type());
+    std::snprintf(buf, sizeof(buf), "(%a,%a)", d.Mean(), d.Variance());
+    out += buf;
+    if (d.type() == stats::DistType::kHistogram) {
+      const auto& h = static_cast<const stats::Histogram&>(d);
+      std::snprintf(buf, sizeof(buf), "[%a,%a]", h.lo(), h.hi());
+      out += buf;
+      for (const double density : h.densities()) {
+        std::snprintf(buf, sizeof(buf), " %a", density);
+        out += buf;
+      }
+    }
+    return out;
+  }
+  if (v.is_string()) return v.AsString();
+  if (v.is_numeric()) {
+    std::snprintf(buf, sizeof(buf), "%a", v.AsDouble());
+    return buf;
+  }
+  return "null";
+}
+
+/// Emission-ordered rows: timestamp, every value, and the lineage ids.
+std::vector<std::string> ExactRows(const TupleBatch& batch) {
+  std::vector<std::string> rows;
+  for (const Tuple& t : batch) {
+    std::string row = std::to_string(t.timestamp());
+    for (size_t i = 0; i < t.num_values(); ++i) {
+      row += "|" + ExactRender(t.value(i));
+    }
+    row += "|lineage";
+    for (const TupleId id : t.lineage()) row += " " + std::to_string(id);
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+constexpr int64_t kTumblingWindowUs = 100;
+
+/// [key:int, weight] tuples: 1-2 component mixtures, one in eight a
+/// certain number (the SUM shift / extreme clip paths).
+std::vector<TupleBatch> TumblingInput() {
+  common::Rng rng(20261017);
+  std::vector<TupleBatch> batches;
+  TupleBatch batch;
+  int64_t ts = 0;
+  for (size_t i = 0; i < 320; ++i) {
+    ts += static_cast<int64_t>(rng.UniformInt(21));
+    Value weight = [&]() -> Value {
+      if (rng.UniformInt(8) == 0) return Value(rng.Uniform(-2.0, 2.0));
+      std::vector<stats::GaussianMixture::Component> comps;
+      const size_t k = 1 + rng.UniformInt(2);
+      for (size_t c = 0; c < k; ++c) {
+        comps.push_back({0.2 + rng.Uniform(), rng.Uniform(-4.0, 6.0),
+                         0.3 + rng.Uniform()});
+      }
+      return Value(stats::DistributionPtr(
+          std::make_shared<stats::GaussianMixture>(
+              stats::GaussianMixture::Make(std::move(comps))
+                  .MoveValueUnsafe())));
+    }();
+    Tuple t(ts, {Value(static_cast<int64_t>(rng.UniformInt(6))),
+                 std::move(weight)});
+    t.InitBaseLineage();
+    batch.Append(std::move(t));
+    if (batch.size() == 48) {
+      batches.push_back(std::move(batch));
+      batch = TupleBatch();
+    }
+  }
+  if (!batch.empty()) batches.push_back(std::move(batch));
+  return batches;
+}
+
+/// SUM and AVG under `kind`, MAX, MIN, COUNT, and a HAVING on the SUM.
+query::Query EveryAggregateQuery(uncertain::SumStrategyKind kind) {
+  return query::Query::From("src", 2)
+      .Window(WindowSpec::Tumbling(kTumblingWindowUs))
+      .GroupBy(0)
+      .Sum("total", 1, kind)
+      .Avg("mean", 1, kind)
+      .Max("hi", 1)
+      .Min("lo", 1)
+      .Count("n")
+      .Having(uncertain::MakeHavingProbGreater(1, 2.0, 0.5))
+      .Sink("out");
+}
+
+common::Result<TupleBatch> RunEveryAggregate(
+    uncertain::SumStrategyKind kind, const std::vector<TupleBatch>& input,
+    size_t num_shards, PlannerOptions::AggregatePath path) {
+  PlannerOptions opts;
+  opts.num_shards = num_shards;
+  opts.aggregate_path = path;
+  auto compiled_or = EveryAggregateQuery(kind).Compile(opts);
+  USP_RETURN_NOT_OK(compiled_or.status());
+  auto compiled = compiled_or.MoveValueUnsafe();
+  if (compiled->summary().aggregates.at(0).paned !=
+      (path == PlannerOptions::AggregatePath::kAuto)) {
+    return common::Status::Internal("unexpected aggregate path");
+  }
+  const auto src = compiled->source("src");
+  for (const TupleBatch& batch : input) {
+    USP_RETURN_NOT_OK(compiled->PushBatch(src, batch));
+  }
+  USP_RETURN_NOT_OK(compiled->Finish());
+  return compiled->TakeResult(compiled->sink("out"));
+}
+
+class TumblingEveryAggregateTest
+    : public ::testing::TestWithParam<uncertain::SumStrategyKind> {};
+
+TEST_P(TumblingEveryAggregateTest, PanedMatchesNaiveBitwise) {
+  SCOPED_TRACE(uncertain::SumStrategyKindName(GetParam()));
+  const std::vector<TupleBatch> input = TumblingInput();
+  std::set<std::pair<int64_t, int64_t>> groups;  // (window, key)
+  for (const TupleBatch& batch : input) {
+    for (const Tuple& t : batch) {
+      groups.emplace(t.timestamp() / kTumblingWindowUs, t.value(0).AsInt());
+    }
+  }
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto naive_or = RunEveryAggregate(
+        GetParam(), input, shards, PlannerOptions::AggregatePath::kForceNaive);
+    auto paned_or = RunEveryAggregate(GetParam(), input, shards,
+                                      PlannerOptions::AggregatePath::kAuto);
+    ASSERT_TRUE(naive_or.ok()) << naive_or.status().ToString();
+    ASSERT_TRUE(paned_or.ok()) << paned_or.status().ToString();
+    const std::vector<std::string> naive = ExactRows(naive_or.value());
+    const std::vector<std::string> paned = ExactRows(paned_or.value());
+    // HAVING must have decided both ways for the comparison to cover it.
+    ASSERT_FALSE(naive.empty());
+    ASSERT_LT(naive.size(), groups.size());
+    ASSERT_EQ(naive.size(), paned.size());
+    for (size_t i = 0; i < naive.size(); ++i) {
+      ASSERT_EQ(naive[i], paned[i]) << "row " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSumStrategies, TumblingEveryAggregateTest,
+    ::testing::Values(uncertain::SumStrategyKind::kClt,
+                      uncertain::SumStrategyKind::kCfApprox,
+                      uncertain::SumStrategyKind::kCfInversion,
+                      uncertain::SumStrategyKind::kHistogram,
+                      uncertain::SumStrategyKind::kMonteCarlo));
 
 }  // namespace
 }  // namespace stream

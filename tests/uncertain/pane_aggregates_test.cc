@@ -192,7 +192,8 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PaneAggregatesTumblingTest,
                          ::testing::Values(SumStrategyKind::kClt,
                                            SumStrategyKind::kCfApprox,
                                            SumStrategyKind::kCfInversion,
-                                           SumStrategyKind::kHistogram));
+                                           SumStrategyKind::kHistogram,
+                                           SumStrategyKind::kMonteCarlo));
 
 TEST(PaneAggregatesSlidingTest, CltMatchesNaiveTightly) {
   const auto stream = MakeStream(400, 22);
