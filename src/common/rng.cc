@@ -43,6 +43,10 @@ double Rng::Uniform() {
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
 
+void Rng::FillUniform(double* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) out[i] = Uniform();
+}
+
 uint64_t Rng::UniformInt(uint64_t n) {
   assert(n > 0);
   // Rejection sampling to remove modulo bias.

@@ -37,6 +37,9 @@ class Rng {
   double Uniform();
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
+  /// Fills out[0..n) with exactly the values of n successive Uniform()
+  /// calls, leaving the generator in the same state they would.
+  void FillUniform(double* out, size_t n);
   /// Uniform integer in [0, n). Requires n > 0.
   uint64_t UniformInt(uint64_t n);
   /// Standard normal via Box-Muller with caching of the second deviate.

@@ -9,19 +9,10 @@ namespace rfid {
 double SensingModel::DetectionProbability(const Point2& reader,
                                           double heading_rad,
                                           const Point2& tag) const {
-  const double d = Distance(reader, tag);
-  if (d > hard_range) return 0.0;
-  const double range_term =
-      1.0 / (1.0 + std::exp(range_steepness * (d - range_midpoint)));
-  double angle_term = 1.0;
-  if (d > 1e-9) {
-    const double cos_theta =
-        ((tag.x - reader.x) * std::cos(heading_rad) +
-         (tag.y - reader.y) * std::sin(heading_rad)) /
-        d;
-    angle_term = 1.0 / (1.0 + std::exp(-fov_steepness * (cos_theta - fov_cos)));
-  }
-  return max_read_prob * range_term * angle_term;
+  // Out-of-range tags skip the pose's cos/sin (the simulator scores every
+  // shelf per scan); the pose returns the same 0 for them.
+  if (Distance(reader, tag) > hard_range) return 0.0;
+  return Pose(reader, heading_rad).DetectionProbability(tag);
 }
 
 WarehouseSimulator::WarehouseSimulator(const WarehouseConfig& config)

@@ -35,6 +35,8 @@ inline double Distance(const Point2& a, const Point2& b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
+struct SensingPose;
+
 /// Logistic sensing model: detection probability of a tag at distance d
 /// (ft) and bearing angle theta (rad) from the reader's heading.
 struct SensingModel {
@@ -49,7 +51,44 @@ struct SensingModel {
   /// `tag`).
   double DetectionProbability(const Point2& reader, double heading_rad,
                               const Point2& tag) const;
+
+  /// The reader's half of DetectionProbability, prepared once so a caller
+  /// scoring many tags against one reading skips the per-tag cos/sin.
+  SensingPose Pose(const Point2& reader, double heading_rad) const;
 };
+
+/// A SensingModel bound to one reader position and heading. Its
+/// DetectionProbability(tag) is the single implementation of the model:
+/// SensingModel::DetectionProbability(reader, heading, tag) returns
+/// Pose(reader, heading).DetectionProbability(tag), bit for bit.
+struct SensingPose {
+  const SensingModel* model;
+  Point2 reader;
+  double cos_heading;
+  double sin_heading;
+
+  double DetectionProbability(const Point2& tag) const {
+    const SensingModel& m = *model;
+    const double d = Distance(reader, tag);
+    if (d > m.hard_range) return 0.0;
+    const double range_term =
+        1.0 / (1.0 + std::exp(m.range_steepness * (d - m.range_midpoint)));
+    double angle_term = 1.0;
+    if (d > 1e-9) {
+      const double cos_theta = ((tag.x - reader.x) * cos_heading +
+                                (tag.y - reader.y) * sin_heading) /
+                               d;
+      angle_term =
+          1.0 / (1.0 + std::exp(-m.fov_steepness * (cos_theta - m.fov_cos)));
+    }
+    return m.max_read_prob * range_term * angle_term;
+  }
+};
+
+inline SensingPose SensingModel::Pose(const Point2& reader,
+                                      double heading_rad) const {
+  return {this, reader, std::cos(heading_rad), std::sin(heading_rad)};
+}
 
 /// Static warehouse geometry + dynamics parameters.
 struct WarehouseConfig {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
+
+#include "stats/simd/dispatch.h"
 
 namespace usp {
 namespace rfid {
@@ -20,8 +23,7 @@ Point2 ObjectBelief::Mean() const {
   return m;
 }
 
-double ObjectBelief::Spread() const {
-  const Point2 m = Mean();
+double ObjectBelief::Spread(const Point2& m) const {
   double vx = 0.0, vy = 0.0;
   for (size_t i = 0; i < xs.size(); ++i) {
     vx += ws[i] * (xs[i] - m.x) * (xs[i] - m.x);
@@ -59,6 +61,14 @@ FactoredParticleFilter::FactoredParticleFilter(
   grid_w_ = static_cast<size_t>(area_w_ / cell_ft_) + 1;
   grid_h_ = static_cast<size_t>(area_h_ / cell_ft_) + 1;
   grid_.assign(grid_w_ * grid_h_, {});
+  const size_t max_cloud =
+      std::max(opts_.particles_per_object, opts_.compressed_particles);
+  for (std::vector<double>* v :
+       {&scratch_.jump_u, &scratch_.u1, &scratch_.u2, &scratch_.z0,
+        &scratch_.z1, &scratch_.xs, &scratch_.ys}) {
+    v->resize(max_cloud);
+  }
+  scratch_.order.resize(max_cloud);
   beliefs_.resize(num_objects);
   belief_means_.resize(num_objects);
   for (uint32_t id = 0; id < num_objects; ++id) {
@@ -69,10 +79,14 @@ FactoredParticleFilter::FactoredParticleFilter(
 }
 
 size_t FactoredParticleFilter::CellOf(const Point2& p) const {
-  const size_t cx = std::min(
-      grid_w_ - 1, static_cast<size_t>(std::max(0.0, p.x) / cell_ft_));
-  const size_t cy = std::min(
-      grid_h_ - 1, static_cast<size_t>(std::max(0.0, p.y) / cell_ft_));
+  // Clamp in floating point first: casting an out-of-range double to an
+  // integer is undefined.
+  const double max_cx = static_cast<double>(grid_w_ - 1);
+  const double max_cy = static_cast<double>(grid_h_ - 1);
+  const auto cx = static_cast<size_t>(
+      std::min(max_cx, std::max(0.0, p.x) / cell_ft_));
+  const auto cy = static_cast<size_t>(
+      std::min(max_cy, std::max(0.0, p.y) / cell_ft_));
   return cy * grid_w_ + cx;
 }
 
@@ -100,26 +114,38 @@ void FactoredParticleFilter::MotionUpdate(ObjectBelief* b, double now_s) {
   if (dt <= 0.0) return;
   const double sigma = opts_.random_walk_sigma * std::sqrt(dt);
   const double jump_prob = 1.0 - std::exp(-opts_.shelf_jump_rate * dt);
-  for (size_t i = 0; i < b->size(); ++i) {
-    if (jump_prob > 0.0 && rng_.Bernoulli(jump_prob)) {
+  // Bulk draws in the order particle_filter.h documents.
+  const size_t n = b->size();
+  assert(n <= scratch_.u1.size());
+  double* jump_u = scratch_.jump_u.data();
+  double* u1 = scratch_.u1.data();
+  double* u2 = scratch_.u2.data();
+  double* z0 = scratch_.z0.data();
+  double* z1 = scratch_.z1.data();
+  const bool may_jump = jump_prob > 0.0;
+  if (may_jump) rng_.FillUniform(jump_u, n);
+  rng_.FillUniform(u1, n);
+  for (size_t i = 0; i < n; ++i) u1[i] = 1.0 - u1[i];  // (0, 1]: log-safe
+  rng_.FillUniform(u2, n);
+  stats::simd::Active().normal_pairs(u1, u2, n, z0, z1);
+  for (size_t i = 0; i < n; ++i) {
+    if (may_jump && jump_u[i] < jump_prob) {
       const Point2& shelf = shelves_[rng_.UniformInt(shelves_.size())];
-      b->xs[i] = shelf.x + rng_.Gaussian(0.0, 1.0);
-      b->ys[i] = shelf.y + rng_.Gaussian(0.0, 1.0);
+      b->xs[i] = shelf.x + z0[i];
+      b->ys[i] = shelf.y + z1[i];
     } else {
-      b->xs[i] += rng_.Gaussian(0.0, sigma);
-      b->ys[i] += rng_.Gaussian(0.0, sigma);
+      b->xs[i] += sigma * z0[i];
+      b->ys[i] += sigma * z1[i];
     }
   }
 }
 
 void FactoredParticleFilter::MeasurementUpdate(ObjectBelief* b,
-                                               const Reading& reading,
+                                               const SensingPose& pose,
                                                bool detected) {
   double total = 0.0;
   for (size_t i = 0; i < b->size(); ++i) {
-    const double p = sensing_.DetectionProbability(
-        reading.reader_pos, reading.reader_heading_rad,
-        {b->xs[i], b->ys[i]});
+    const double p = pose.DetectionProbability({b->xs[i], b->ys[i]});
     const double lik = detected ? p : (1.0 - p);
     b->ws[i] *= std::max(lik, kWeightFloor);
     total += b->ws[i];
@@ -127,14 +153,14 @@ void FactoredParticleFilter::MeasurementUpdate(ObjectBelief* b,
   if (total <= kWeightFloor * static_cast<double>(b->size())) {
     // Posterior collapsed: the object was detected somewhere none of the
     // particles predicted (e.g. it moved shelves). Re-seed near the reader.
-    if (detected) RecoverAroundReader(b, reading);
+    if (detected) RecoverAroundReader(b, pose.reader);
     return;
   }
   for (double& w : b->ws) w /= total;
 }
 
 void FactoredParticleFilter::RecoverAroundReader(ObjectBelief* b,
-                                                 const Reading& reading) {
+                                                 const Point2& reader_pos) {
   const size_t n = opts_.particles_per_object;
   b->xs.resize(n);
   b->ys.resize(n);
@@ -145,8 +171,8 @@ void FactoredParticleFilter::RecoverAroundReader(ObjectBelief* b,
     const double r = std::fabs(rng_.Gaussian(sensing_.range_midpoint * 0.6,
                                              sensing_.range_midpoint * 0.5));
     const double a = rng_.Uniform(0.0, 2.0 * M_PI);
-    b->xs[i] = reading.reader_pos.x + r * std::cos(a);
-    b->ys[i] = reading.reader_pos.y + r * std::sin(a);
+    b->xs[i] = reader_pos.x + r * std::cos(a);
+    b->ys[i] = reader_pos.y + r * std::sin(a);
   }
 }
 
@@ -156,7 +182,8 @@ void FactoredParticleFilter::ResampleIfNeeded(ObjectBelief* b) {
     return;
   }
   const size_t n = b->size();
-  std::vector<double> xs(n), ys(n);
+  double* xs = scratch_.xs.data();
+  double* ys = scratch_.ys.data();
   // Systematic resampling.
   const double step = 1.0 / static_cast<double>(n);
   double u = rng_.Uniform() * step;
@@ -171,30 +198,30 @@ void FactoredParticleFilter::ResampleIfNeeded(ObjectBelief* b) {
     ys[i] = b->ys[idx];
     u += step;
   }
-  b->xs = std::move(xs);
-  b->ys = std::move(ys);
+  std::copy(xs, xs + n, b->xs.begin());
+  std::copy(ys, ys + n, b->ys.begin());
   b->ws.assign(n, step);
 }
 
-void FactoredParticleFilter::CompressOrExpand(ObjectBelief* b) {
-  if (!opts_.use_compression) return;
-  const double spread = b->Spread();
+bool FactoredParticleFilter::CompressOrExpand(ObjectBelief* b,
+                                              const Point2& mean) {
+  if (!opts_.use_compression) return false;
+  const double spread = b->Spread(mean);
+  const size_t k = opts_.compressed_particles;
   if (!b->compressed && spread < opts_.compression_stddev_ft &&
-      b->size() > opts_.compressed_particles) {
+      b->size() > k) {
     // Keep the highest-weight particles (the cloud is tight; any subset
     // represents it), renormalize.
-    std::vector<size_t> order(b->size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::partial_sort(order.begin(),
-                      order.begin() +
-                          static_cast<ptrdiff_t>(opts_.compressed_particles),
-                      order.end(), [&](size_t a, size_t c) {
-                        return b->ws[a] > b->ws[c];
-                      });
-    std::vector<double> xs(opts_.compressed_particles),
-        ys(opts_.compressed_particles), ws(opts_.compressed_particles);
+    const auto order = scratch_.order.begin();
+    for (size_t i = 0; i < b->size(); ++i) order[i] = i;
+    std::partial_sort(order, order + static_cast<ptrdiff_t>(k),
+                      order + static_cast<ptrdiff_t>(b->size()),
+                      [&](size_t a, size_t c) { return b->ws[a] > b->ws[c]; });
+    // Fresh k-sized buffers: reusing the full-size ones would keep
+    // particles_per_object capacity resident for every compressed cloud.
+    std::vector<double> xs(k), ys(k), ws(k);
     double total = 0.0;
-    for (size_t i = 0; i < opts_.compressed_particles; ++i) {
+    for (size_t i = 0; i < k; ++i) {
       xs[i] = b->xs[order[i]];
       ys[i] = b->ys[order[i]];
       ws[i] = b->ws[order[i]];
@@ -205,24 +232,29 @@ void FactoredParticleFilter::CompressOrExpand(ObjectBelief* b) {
     b->ys = std::move(ys);
     b->ws = std::move(ws);
     b->compressed = true;
-  } else if (b->compressed && b->ever_detected &&
-             spread > opts_.expansion_stddev_ft) {
+    return true;
+  }
+  if (b->compressed && b->ever_detected &&
+      spread > opts_.expansion_stddev_ft) {
     // Uncertainty grew (missed detections / possible move): re-expand by
     // jittered replication so the filter can re-localize. Never-detected
     // objects keep the compact prior — negative evidence barely moves a
     // shelf-uniform prior, so the full budget would be wasted there.
     const size_t n = opts_.particles_per_object;
-    std::vector<double> xs(n), ys(n);
+    double* xs = scratch_.xs.data();
+    double* ys = scratch_.ys.data();
     for (size_t i = 0; i < n; ++i) {
       const size_t src = i % b->size();
       xs[i] = b->xs[src] + rng_.Gaussian(0.0, 0.5);
       ys[i] = b->ys[src] + rng_.Gaussian(0.0, 0.5);
     }
-    b->xs = std::move(xs);
-    b->ys = std::move(ys);
+    b->xs.assign(xs, xs + n);
+    b->ys.assign(ys, ys + n);
     b->ws.assign(n, 1.0 / static_cast<double>(n));
     b->compressed = false;
+    return true;
   }
+  return false;
 }
 
 std::vector<uint32_t> FactoredParticleFilter::CandidateObjects(
@@ -235,10 +267,14 @@ std::vector<uint32_t> FactoredParticleFilter::CandidateObjects(
   }
   const double radius = sensing_.hard_range + 5.0;
   const int r_cells = static_cast<int>(radius / cell_ft_) + 1;
-  const int cx =
-      static_cast<int>(std::max(0.0, reading.reader_pos.x) / cell_ft_);
-  const int cy =
-      static_cast<int>(std::max(0.0, reading.reader_pos.y) / cell_ft_);
+  // Clamp before the cast: a reader far outside the grid maps to a cell
+  // past its edge (no candidates) instead of overflowing int.
+  const double max_cx = static_cast<double>(grid_w_ + r_cells);
+  const double max_cy = static_cast<double>(grid_h_ + r_cells);
+  const int cx = static_cast<int>(
+      std::min(max_cx, std::max(0.0, reading.reader_pos.x) / cell_ft_));
+  const int cy = static_cast<int>(
+      std::min(max_cy, std::max(0.0, reading.reader_pos.y) / cell_ft_));
   for (int gy = cy - r_cells; gy <= cy + r_cells; ++gy) {
     if (gy < 0 || gy >= static_cast<int>(grid_h_)) continue;
     for (int gx = cx - r_cells; gx <= cx + r_cells; ++gx) {
@@ -258,8 +294,8 @@ std::vector<uint32_t> FactoredParticleFilter::CandidateObjects(
 }
 
 void FactoredParticleFilter::ReindexObject(uint32_t id,
-                                           const Point2& old_mean) {
-  const Point2 new_mean = beliefs_[id].Mean();
+                                           const Point2& old_mean,
+                                           const Point2& new_mean) {
   const size_t old_cell = CellOf(old_mean);
   const size_t new_cell = CellOf(new_mean);
   belief_means_[id] = new_mean;
@@ -269,8 +305,31 @@ void FactoredParticleFilter::ReindexObject(uint32_t id,
   grid_[new_cell].push_back(id);
 }
 
+common::Status FactoredParticleFilter::ValidateReading(
+    const Reading& reading) const {
+  if (!std::isfinite(reading.time_s) ||
+      !std::isfinite(reading.reader_pos.x) ||
+      !std::isfinite(reading.reader_pos.y) ||
+      !std::isfinite(reading.reader_heading_rad)) {
+    return common::Status::InvalidArgument(
+        "reading has a non-finite time, reader position or heading");
+  }
+  for (uint32_t id : reading.observed_objects) {
+    if (id >= beliefs_.size()) {
+      return common::Status::InvalidArgument(
+          "reading names tag id " + std::to_string(id) +
+          " but the filter tracks " + std::to_string(beliefs_.size()) +
+          " objects");
+    }
+  }
+  return common::Status::OK();
+}
+
 size_t FactoredParticleFilter::ProcessReading(const Reading& reading) {
+  assert(ValidateReading(reading).ok());
   const std::vector<uint32_t> candidates = CandidateObjects(reading);
+  const SensingPose pose =
+      sensing_.Pose(reading.reader_pos, reading.reader_heading_rad);
   // Detected set membership; candidate lists are small so linear probing
   // against a sorted copy is cheap.
   std::vector<uint32_t> detected = reading.observed_objects;
@@ -292,10 +351,11 @@ size_t FactoredParticleFilter::ProcessReading(const Reading& reading) {
       b.last_seen_s = reading.time_s;
       ++b.detection_count;
     }
-    MeasurementUpdate(&b, reading, was_detected);
+    MeasurementUpdate(&b, pose, was_detected);
     ResampleIfNeeded(&b);
-    CompressOrExpand(&b);
-    ReindexObject(id, old_mean);
+    Point2 mean = b.Mean();
+    if (CompressOrExpand(&b, mean)) mean = b.Mean();
+    ReindexObject(id, old_mean, mean);
   }
   return candidates.size();
 }

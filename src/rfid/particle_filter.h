@@ -12,6 +12,22 @@
 //    update to objects near the reader; *compression* shrinks the particle
 //    set of objects whose posterior has stabilized in a small region.
 //    Each optimization can be toggled for the ablation bench.
+//
+// Random stream of the factored filter: one common::Rng seeded from
+// FilterOptions::seed. Each candidate cloud of n particles advances it in
+// this fixed order, so a seed fixes every belief on every dispatch tier:
+//   1. motion (skipped when no time has passed since the cloud's last
+//      update): n jump uniforms (only when the jump probability is > 0),
+//      n uniforms U turned into u1 = 1 - U, n uniforms u2; then, in
+//      particle order, one UniformInt shelf pick per particle whose jump
+//      uniform fell below the jump probability. The Box-Muller pairs
+//      (z0, z1) of (u1, u2) come from simd::Dispatch::normal_pairs: a
+//      walking particle moves by sigma * (z0, z1), a jumping one lands at
+//      shelf + (z0, z1);
+//   2. measurement: no draws, except a collapsed detected cloud re-seeded
+//      around the reader (one Gaussian and one Uniform per particle);
+//   3. systematic resampling, when the ESS is low: one Uniform;
+//   4. re-expansion of a compressed cloud: two Gaussians per particle.
 
 #ifndef USP_RFID_PARTICLE_FILTER_H_
 #define USP_RFID_PARTICLE_FILTER_H_
@@ -56,7 +72,9 @@ struct ObjectBelief {
   size_t size() const { return xs.size(); }
   Point2 Mean() const;
   /// Max of the x and y posterior standard deviations.
-  double Spread() const;
+  double Spread() const { return Spread(Mean()); }
+  /// Spread() about an already computed Mean().
+  double Spread(const Point2& mean) const;
   double EffectiveSampleSize() const;
 };
 
@@ -69,8 +87,15 @@ class FactoredParticleFilter {
                          const SensingModel& sensing,
                          const FilterOptions& options);
 
+  /// InvalidArgument when `reading` names a tag id >= num_objects() or
+  /// carries a non-finite time, reader position or heading: readings the
+  /// filter cannot assimilate without indexing out of bounds or turning
+  /// every candidate belief into NaN.
+  common::Status ValidateReading(const Reading& reading) const;
+
   /// Assimilate one reading. Returns the number of object beliefs updated
   /// (the candidate-set size — the quantity spatial indexing shrinks).
+  /// Precondition: ValidateReading(reading) is OK.
   size_t ProcessReading(const Reading& reading);
 
   size_t num_objects() const { return beliefs_.size(); }
@@ -91,14 +116,24 @@ class FactoredParticleFilter {
  private:
   void InitBelief(uint32_t id);
   void MotionUpdate(ObjectBelief* b, double now_s);
-  void MeasurementUpdate(ObjectBelief* b, const Reading& reading,
+  void MeasurementUpdate(ObjectBelief* b, const SensingPose& pose,
                          bool detected);
   void ResampleIfNeeded(ObjectBelief* b);
-  void CompressOrExpand(ObjectBelief* b);
-  void RecoverAroundReader(ObjectBelief* b, const Reading& reading);
-  void ReindexObject(uint32_t id, const Point2& old_mean);
+  /// Returns true when it replaced the cloud (so `mean` is stale).
+  bool CompressOrExpand(ObjectBelief* b, const Point2& mean);
+  void RecoverAroundReader(ObjectBelief* b, const Point2& reader_pos);
+  void ReindexObject(uint32_t id, const Point2& old_mean,
+                     const Point2& new_mean);
   std::vector<uint32_t> CandidateObjects(const Reading& reading) const;
   size_t CellOf(const Point2& p) const;
+
+  // Per-cloud scratch, sized once to the largest cloud a belief can hold
+  // and reused by every candidate of every reading.
+  struct CloudScratch {
+    std::vector<double> jump_u, u1, u2, z0, z1;  // MotionUpdate draws
+    std::vector<double> xs, ys;  // resample / expand gather
+    std::vector<size_t> order;   // compression ranking
+  };
 
   std::vector<Point2> shelves_;
   SensingModel sensing_;
@@ -111,6 +146,7 @@ class FactoredParticleFilter {
   size_t grid_w_, grid_h_;
   double area_w_, area_h_;
   std::vector<std::vector<uint32_t>> grid_;
+  CloudScratch scratch_;
 };
 
 /// \brief Joint-state baseline particle filter.

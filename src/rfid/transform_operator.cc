@@ -1,5 +1,7 @@
 #include "rfid/transform_operator.h"
 
+#include <cmath>
+
 #include "stats/fitting.h"
 #include "stats/particle_set.h"
 
@@ -68,6 +70,12 @@ common::Result<stats::DistributionPtr> RfidTransformOperator::ConvertAxis(
 
 common::Status RfidTransformOperator::ProcessReading(const Reading& reading,
                                                      stream::Collector* out) {
+  USP_RETURN_NOT_OK(filter_.ValidateReading(reading));
+  // Tuple timestamps are int64 microseconds: |time_s| * 1e6 < 2^63.
+  if (std::fabs(reading.time_s) >= 9.2e12) {
+    return common::Status::InvalidArgument(
+        "reading time does not fit a microsecond timestamp");
+  }
   filter_.ProcessReading(reading);
   const int64_t ts_us = static_cast<int64_t>(reading.time_s * 1e6);
   for (uint32_t id : reading.observed_objects) {

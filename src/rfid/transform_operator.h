@@ -47,6 +47,9 @@ class RfidTransformOperator {
                         const SensingModel& sensing, const Options& options);
 
   /// Assimilate a reading and emit location tuples for detected objects.
+  /// A malformed reading (see FactoredParticleFilter::ValidateReading, or
+  /// a time beyond the int64 microsecond range) is InvalidArgument and
+  /// leaves the filter untouched.
   common::Status ProcessReading(const Reading& reading,
                                 stream::Collector* out);
 

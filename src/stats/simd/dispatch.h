@@ -1,5 +1,7 @@
 // Runtime SIMD dispatch for the CF/CDF grid kernels, the ProductCfGrid
-// accumulation, and the CF-inversion FFT/phase/density loops.
+// accumulation, the CF-inversion FFT/phase/density loops, and the
+// Box-Muller normal-pairs transform the RFID particle filter draws its
+// motion noise through.
 //
 // The tier is selected ONCE (first use) via cpuid: AVX2+FMA when the CPU
 // and the build support it, the scalar fallback otherwise. Every entry in
@@ -63,6 +65,13 @@ struct Dispatch {
   void (*density_masses)(const std::complex<double>* a, std::size_t n,
                          double lo, double dx, double t_max, double scale,
                          double* masses);
+
+  // Elementwise lane-exact log (x finite, > 0), and Box-Muller over
+  // pre-drawn uniforms: u1 in (0, 1], u2 in [0, 1) -> z0 = r cos(2 pi u2),
+  // z1 = r sin(2 pi u2), r = sqrt(-2 log u1).
+  void (*log)(const double* x, std::size_t n, double* out);
+  void (*normal_pairs)(const double* u1, const double* u2, std::size_t n,
+                       double* z0, double* z1);
 };
 
 /// The active table. First call performs cpuid detection (honouring

@@ -34,7 +34,6 @@ namespace simd {
 
 namespace detail {
 inline constexpr double kPi = 3.14159265358979323846;
-inline constexpr double kSqrt2 = 1.41421356237309504880;
 }  // namespace detail
 
 // out[i] = exp(c * t^2) * (cos(mean*t) + i sin(mean*t)), c = -sd^2/2.
@@ -332,6 +331,48 @@ void DensityMassesT(const std::complex<double>* __restrict a, std::size_t n,
       SinCos<ScalarBackend>(t_max * xj, &s, &c);
       const double fj = scale * (c * a[j].real() - s * a[j].imag());
       masses[j] = (0.0 < fj ? fj : 0.0) * dx;
+    }
+  }
+}
+
+// out[i] = log(x[i]) through the shared Log kernel (x[i] finite, > 0).
+template <class B>
+void LogT(const double* __restrict x, std::size_t n, double* __restrict out) {
+  assert(NoOverlap(x, n * sizeof(*x), out, n * sizeof(*out)));
+  std::size_t i = 0;
+  for (; i + B::kLanes <= n; i += B::kLanes) {
+    B::Store(out + i, Log<B>(B::Load(x + i)));
+  }
+  if constexpr (!std::is_same_v<B, ScalarBackend>) {
+    if (i < n) LogT<ScalarBackend>(x + i, n - i, out + i);
+  }
+}
+
+// Box-Muller over pre-drawn uniforms u1[i] in (0, 1], u2[i] in [0, 1):
+// r = sqrt(-2 * log(u1)), theta = 2*pi * u2, z0[i] = r * cos(theta),
+// z1[i] = r * sin(theta) — two independent standard normals per pair.
+template <class B>
+void NormalPairsT(const double* __restrict u1, const double* __restrict u2,
+                  std::size_t n, double* __restrict z0,
+                  double* __restrict z1) {
+  assert(NoOverlap(u1, n * sizeof(*u1), z0, n * sizeof(*z0)));
+  assert(NoOverlap(u1, n * sizeof(*u1), z1, n * sizeof(*z1)));
+  assert(NoOverlap(u2, n * sizeof(*u2), z0, n * sizeof(*z0)));
+  assert(NoOverlap(u2, n * sizeof(*u2), z1, n * sizeof(*z1)));
+  assert(NoOverlap(z0, n * sizeof(*z0), z1, n * sizeof(*z1)));
+  const auto minus_two = B::Set(-2.0);
+  const auto two_pi = B::Set(2.0 * detail::kPi);
+  std::size_t i = 0;
+  for (; i + B::kLanes <= n; i += B::kLanes) {
+    const auto r = B::Sqrt(B::Mul(minus_two, Log<B>(B::Load(u1 + i))));
+    typename B::V s, c;
+    SinCos<B>(B::Mul(two_pi, B::Load(u2 + i)), &s, &c);
+    B::Store(z0 + i, B::Mul(r, c));
+    B::Store(z1 + i, B::Mul(r, s));
+  }
+  if constexpr (!std::is_same_v<B, ScalarBackend>) {
+    if (i < n) {
+      NormalPairsT<ScalarBackend>(u1 + i, u2 + i, n - i, z0 + i, z1 + i);
     }
   }
 }

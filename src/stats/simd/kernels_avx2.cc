@@ -42,6 +42,7 @@ struct Avx2Backend {
   static V Div(V a, V b) { return _mm256_div_pd(a, b); }
   static V Neg(V a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
   static V Fma(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+  static V Sqrt(V a) { return _mm256_sqrt_pd(a); }
   static V Round(V a) {
     return _mm256_round_pd(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   }
@@ -64,6 +65,22 @@ struct Avx2Backend {
     __m256i k64 = _mm256_cvtepi32_epi64(k32);
     k64 = _mm256_add_epi64(k64, _mm256_set1_epi64x(1023));
     return _mm256_castsi256_pd(_mm256_slli_epi64(k64, 52));
+  }
+
+  // Exponent field via the 2^52 magic-number trick (AVX2 has no
+  // int64 -> double conversion); exact for finite normal x > 0.
+  static void SplitExponent(V x, V* mantissa, V* exponent) {
+    const __m256i bits = _mm256_castpd_si256(x);
+    const __m256i biased = _mm256_and_si256(_mm256_srli_epi64(bits, 52),
+                                            _mm256_set1_epi64x(0x7ff));
+    const __m256i magic = _mm256_set1_epi64x(0x4330000000000000LL);  // 2^52
+    const __m256d biased_d =
+        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(biased, magic)),
+                      _mm256_castsi256_pd(magic));
+    *exponent = _mm256_sub_pd(biased_d, _mm256_set1_pd(1023.0));
+    *mantissa = _mm256_castsi256_pd(_mm256_or_si256(
+        _mm256_and_si256(bits, _mm256_set1_epi64x(0x000fffffffffffffLL)),
+        _mm256_set1_epi64x(0x3ff0000000000000LL)));
   }
 
   static void Quadrant(V j, M* swap, M* neg_sin, M* neg_cos) {
@@ -176,6 +193,8 @@ const Dispatch kAvx2Dispatch = {
     &FftAvx2,
     &PhaseRotateT<Avx2Backend>,
     &DensityMassesT<Avx2Backend>,
+    &LogT<Avx2Backend>,
+    &NormalPairsT<Avx2Backend>,
 };
 
 }  // namespace simd

@@ -36,6 +36,8 @@ const Dispatch kScalarDispatch = {
     &FftScalar,
     &PhaseRotateT<ScalarBackend>,
     &DensityMassesT<ScalarBackend>,
+    &LogT<ScalarBackend>,
+    &NormalPairsT<ScalarBackend>,
 };
 
 }  // namespace simd

@@ -12,15 +12,16 @@
 //  * The build compiles with -ffp-contract=off (CMakeLists.txt), so scalar
 //    expressions elsewhere cannot be re-fused into fma by the optimiser and
 //    drift from the scalar tier of these kernels.
-//  * exp and sin/cos are implemented HERE as branch-free polynomial kernels
-//    over backend ops instead of calling libm per lane — libm makes no
-//    cross-call-site reproducibility promise once values are in registers
-//    of different widths. (erfc stays a per-lane libm call: both tiers call
+//  * exp, log and sin/cos are implemented HERE as branch-free polynomial
+//    kernels over backend ops instead of calling libm per lane — libm makes
+//    no cross-call-site reproducibility promise once values are in
+//    registers of different widths. (erfc stays a per-lane libm call: both tiers call
 //    the same symbol on the same values, which is lane-exact trivially.)
 //
 // Domain notes: Exp() is exact-zero below -745.2 and overflows to inf
-// naturally above ~709.8; SinCos() requires |x| < 2^31 * pi/2 (quadrant
-// indices must fit in int32 — CF phase arguments here stay below ~1e8).
+// naturally above ~709.8; Log() requires finite x > 0 (subnormals
+// included); SinCos() requires |x| < 2^31 * pi/2 (quadrant indices must
+// fit in int32 — CF phase arguments here stay below ~1e8).
 
 #ifndef USP_STATS_SIMD_VEC_MATH_H_
 #define USP_STATS_SIMD_VEC_MATH_H_
@@ -82,6 +83,7 @@ struct ScalarBackend {
   static V Div(V a, V b) { return a / b; }
   static V Neg(V a) { return -a; }
   static V Fma(V a, V b, V c) { return std::fma(a, b, c); }
+  static V Sqrt(V a) { return std::sqrt(a); }
   static V Round(V a) { return std::nearbyint(a); }  // nearest-even
   static M Eq(V a, V b) { return a == b; }
   static M Lt(V a, V b) { return a < b; }
@@ -98,6 +100,17 @@ struct ScalarBackend {
     double out;
     std::memcpy(&out, &bits, sizeof(out));
     return out;
+  }
+
+  // x = mantissa * 2^exponent with mantissa in [1, 2), for finite normal
+  // x > 0: a bit-field split, so both outputs are exact.
+  static void SplitExponent(V x, V* mantissa, V* exponent) {
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    const int64_t biased = static_cast<int64_t>((bits >> 52) & 0x7ff);
+    *exponent = static_cast<double>(biased - 1023);
+    bits = (bits & 0x000fffffffffffffULL) | 0x3ff0000000000000ULL;
+    std::memcpy(mantissa, &bits, sizeof(bits));
   }
 
   // Quadrant masks for sin/cos reconstruction from j = round(x * 2/pi).
@@ -157,6 +170,7 @@ inline constexpr double kLn2Lo = 1.90821492927058770002e-10;
 inline constexpr double kTwoOverPi = 6.36619772367581382433e-01;
 inline constexpr double kPio2Hi = 1.57079632673412561417e+00;
 inline constexpr double kPio2Lo = 6.07710050650619224932e-11;
+inline constexpr double kSqrt2 = 1.41421356237309504880;
 }  // namespace detail
 
 // exp(x): k = round(x*log2e); r = x - k*ln2 (two fma steps); degree-13
@@ -188,6 +202,44 @@ typename B::V Exp(typename B::V x) {
   const typename B::V k2 = B::Sub(k, k1);
   result = B::Mul(B::Mul(result, B::Exp2Int(k1)), B::Exp2Int(k2));
   return B::Select(B::Lt(x, B::Set(-745.2)), B::Set(0.0), result);
+}
+
+// log(x) for finite x > 0: x = m * 2^k with m in (sqrt2/2, sqrt2]
+// (subnormals are first scaled by 2^54), f = m - 1 is exact, and the
+// fdlibm e_log.c kernel finishes: s = f/(2+f), a degree-14 polynomial in
+// s, and the two-part k*ln2 reconstruction. ~1 ulp; log(1) == +0.
+template <class B>
+typename B::V Log(typename B::V x) {
+  using V = typename B::V;
+  const typename B::M tiny = B::Lt(x, B::Set(0x1p-1022));
+  x = B::Select(tiny, B::Mul(x, B::Set(0x1p54)), x);
+  V m, k;
+  B::SplitExponent(x, &m, &k);
+  k = B::Select(tiny, B::Sub(k, B::Set(54.0)), k);
+  const typename B::M high = B::Lt(B::Set(detail::kSqrt2), m);
+  m = B::Select(high, B::Mul(m, B::Set(0.5)), m);
+  k = B::Select(high, B::Add(k, B::Set(1.0)), k);
+  const V f = B::Sub(m, B::Set(1.0));
+  const V hfsq = B::Mul(B::Mul(B::Set(0.5), f), f);
+  const V s = B::Div(f, B::Add(B::Set(2.0), f));
+  const V z = B::Mul(s, s);
+  const V w = B::Mul(z, z);
+  // fdlibm Lg1..Lg7, split into even (t1) and odd (t2) powers of w.
+  V t1 = B::Fma(w, B::Set(1.531383769920937332e-01),
+                B::Set(2.222219843214978396e-01));
+  t1 = B::Fma(w, t1, B::Set(3.999999999940941908e-01));
+  t1 = B::Mul(w, t1);
+  V t2 = B::Fma(w, B::Set(1.479819860511658591e-01),
+                B::Set(1.818357216161805012e-01));
+  t2 = B::Fma(w, t2, B::Set(2.857142874366239149e-01));
+  t2 = B::Fma(w, t2, B::Set(6.666666666666735130e-01));
+  t2 = B::Mul(z, t2);
+  const V r = B::Add(t2, t1);
+  // k*ln2_hi - ((hfsq - (s*(hfsq + r) + k*ln2_lo)) - f)
+  const V lo = B::Add(B::Mul(s, B::Add(hfsq, r)),
+                      B::Mul(k, B::Set(detail::kLn2Lo)));
+  return B::Sub(B::Mul(k, B::Set(detail::kLn2Hi)),
+                B::Sub(B::Sub(hfsq, lo), f));
 }
 
 // sin(x) and cos(x) together: j = round(x*2/pi), fma Cody-Waite reduction

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 namespace usp {
 namespace common {
@@ -31,6 +33,23 @@ TEST(RngTest, UniformInUnitInterval) {
     const double u = rng.Uniform();
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
+  }
+}
+
+TEST(RngTest, FillUniformMatchesUniformCallsAndState) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{1001}}) {
+    Rng bulk(321), single(321);
+    bulk.Gaussian();  // the cached Box-Muller deviate must survive too
+    single.Gaussian();
+    std::vector<double> out(n);
+    bulk.FillUniform(out.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      const double u = single.Uniform();
+      ASSERT_EQ(std::memcmp(&out[i], &u, sizeof(u)), 0)
+          << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(bulk.Gaussian(), single.Gaussian());
+    EXPECT_EQ(bulk.Next(), single.Next());
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace usp {
 namespace rfid {
@@ -41,6 +42,59 @@ TEST(SensingModelTest, ProbabilityIsInUnitInterval) {
       EXPECT_LE(p, 1.0);
     }
   }
+}
+
+// The logistic model written out per tag, cos/sin of the heading inside:
+// the form the prepared pose hoists.
+double ReferenceProbability(const SensingModel& s, const Point2& reader,
+                            double heading, const Point2& tag) {
+  const double d = Distance(reader, tag);
+  if (d > s.hard_range) return 0.0;
+  const double range_term =
+      1.0 / (1.0 + std::exp(s.range_steepness * (d - s.range_midpoint)));
+  double angle_term = 1.0;
+  if (d > 1e-9) {
+    const double cos_theta = ((tag.x - reader.x) * std::cos(heading) +
+                              (tag.y - reader.y) * std::sin(heading)) /
+                             d;
+    angle_term =
+        1.0 / (1.0 + std::exp(-s.fov_steepness * (cos_theta - s.fov_cos)));
+  }
+  return s.max_read_prob * range_term * angle_term;
+}
+
+TEST(SensingModelTest, PreparedPoseIsBitwiseDetectionProbability) {
+  SensingModel s;
+  const Point2 reader{37.25, 12.5};
+  const double pi = std::acos(-1.0);
+  size_t at_hard_range = 0, at_reader = 0;
+  for (const double heading : {0.0, pi, 0.7, -2.3}) {
+    const SensingPose pose = s.Pose(reader, heading);
+    std::vector<Point2> tags = {
+        reader,                                   // d = 0
+        {reader.x + s.hard_range, reader.y},      // d = hard_range exactly
+        {reader.x, reader.y - s.hard_range},      // d = hard_range exactly
+        {reader.x + s.hard_range + 1e-9, reader.y}};
+    for (double dx = -30.0; dx <= 30.0; dx += 1.75) {
+      for (double dy = -30.0; dy <= 30.0; dy += 2.5) {
+        tags.push_back({reader.x + dx, reader.y + dy});
+      }
+    }
+    for (const Point2& tag : tags) {
+      const double d = Distance(reader, tag);
+      at_hard_range += d == s.hard_range;
+      at_reader += d == 0.0;
+      const double want = ReferenceProbability(s, reader, heading, tag);
+      const double by_pose = pose.DetectionProbability(tag);
+      const double by_model = s.DetectionProbability(reader, heading, tag);
+      ASSERT_EQ(std::memcmp(&by_pose, &want, sizeof(want)), 0)
+          << "tag (" << tag.x << ", " << tag.y << ") heading " << heading;
+      ASSERT_EQ(std::memcmp(&by_model, &want, sizeof(want)), 0)
+          << "tag (" << tag.x << ", " << tag.y << ") heading " << heading;
+    }
+  }
+  EXPECT_GE(at_hard_range, 8u);  // two exact-range tags per heading
+  EXPECT_GE(at_reader, 4u);
 }
 
 WarehouseConfig SmallConfig() {

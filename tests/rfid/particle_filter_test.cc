@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "rfid/model.h"
+#include "stats/simd/dispatch.h"
 
 namespace usp {
 namespace rfid {
@@ -157,6 +160,57 @@ TEST(FactoredFilterTest, BeliefAccessors) {
     EXPECT_GE(m.x, -10.0);
     EXPECT_LE(m.x, 60.0);
   }
+}
+
+// Runs 200 readings under the currently dispatched SIMD tier and returns
+// every belief cloud, concatenated as (xs, ys, ws).
+std::vector<double> BeliefsAfter200Readings() {
+  WarehouseConfig config = SmallConfig(60);
+  config.object_move_prob_per_scan = 0.01;
+  WarehouseSimulator sim(config);
+  FactoredParticleFilter filter(config.num_objects, sim.shelf_positions(),
+                                config.sensing, DefaultOpts());
+  for (int i = 0; i < 200; ++i) filter.ProcessReading(sim.Step());
+  std::vector<double> all;
+  for (uint32_t id = 0; id < filter.num_objects(); ++id) {
+    const ObjectBelief& b = filter.belief(id);
+    all.insert(all.end(), b.xs.begin(), b.xs.end());
+    all.insert(all.end(), b.ys.begin(), b.ys.end());
+    all.insert(all.end(), b.ws.begin(), b.ws.end());
+  }
+  return all;
+}
+
+TEST(FactoredFilterTest, BeliefsBitwiseIdenticalAcrossSimdTiers) {
+  std::vector<double> scalar;
+  {
+    stats::simd::ScopedForceTier force(stats::simd::Tier::kScalar);
+    scalar = BeliefsAfter200Readings();
+  }
+  const std::vector<double> active = BeliefsAfter200Readings();
+  ASSERT_EQ(scalar.size(), active.size());
+  ASSERT_GT(scalar.size(), 0u);
+  EXPECT_EQ(std::memcmp(scalar.data(), active.data(),
+                        scalar.size() * sizeof(double)),
+            0)
+      << "active tier " << stats::simd::ActiveIsaName();
+}
+
+TEST(FactoredFilterTest, ValidateReadingRejectsMalformedReadings) {
+  const WarehouseConfig config = SmallConfig(5);
+  WarehouseSimulator sim(config);
+  FactoredParticleFilter filter(5, sim.shelf_positions(), config.sensing,
+                                DefaultOpts());
+  const Reading good = sim.Step();
+  EXPECT_TRUE(filter.ValidateReading(good).ok());
+  Reading bad_tag = good;
+  bad_tag.observed_objects.push_back(5);
+  EXPECT_EQ(filter.ValidateReading(bad_tag).code(),
+            common::StatusCode::kInvalidArgument);
+  Reading bad_heading = good;
+  bad_heading.reader_heading_rad = std::nan("");
+  EXPECT_EQ(filter.ValidateReading(bad_heading).code(),
+            common::StatusCode::kInvalidArgument);
 }
 
 TEST(JointFilterTest, TracksSmallWorld) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "rfid/model.h"
 
 namespace usp {
@@ -171,6 +174,113 @@ TEST(RfidTransformTest, BatchVariantMatchesCollectorPath) {
     return;
   }
   FAIL() << "no reading produced any tuples";
+}
+
+// A malformed reading must come back InvalidArgument and leave the filter
+// exactly as it was: an operator that was fed it alongside good readings
+// ends bitwise-equal to a twin that only ever saw the good ones.
+class MalformedReadingTest : public ::testing::Test {
+ protected:
+  MalformedReadingTest()
+      : sim_(SmallConfig()),
+        shelves_(sim_.shelf_positions()),
+        fed_(SmallConfig().num_objects, shelves_, SmallConfig().sensing,
+             MakeOpts(TupleDistPolicy::kGaussian)),
+        twin_(SmallConfig().num_objects, shelves_, SmallConfig().sensing,
+              MakeOpts(TupleDistPolicy::kGaussian)) {}
+
+  // Feeds `warmup` good readings to both operators and returns the next.
+  Reading WarmUp(int warmup) {
+    stream::VectorCollector out;
+    for (int i = 0; i < warmup; ++i) {
+      const Reading r = sim_.Step();
+      EXPECT_TRUE(fed_.ProcessReading(r, &out).ok());
+      EXPECT_TRUE(twin_.ProcessReading(r, &out).ok());
+    }
+    return sim_.Step();
+  }
+
+  void ExpectRejected(const Reading& bad) {
+    stream::VectorCollector out;
+    const common::Status st = fed_.ProcessReading(bad, &out);
+    EXPECT_EQ(st.code(), common::StatusCode::kInvalidArgument)
+        << st.ToString();
+    EXPECT_TRUE(out.tuples().empty());
+    const auto batch = fed_.ProcessReadingBatch(bad);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), common::StatusCode::kInvalidArgument);
+  }
+
+  // Both operators take the same good readings; their beliefs must match.
+  void ExpectStateUntouched() {
+    stream::VectorCollector out;
+    for (int i = 0; i < 30; ++i) {
+      const Reading r = sim_.Step();
+      ASSERT_TRUE(fed_.ProcessReading(r, &out).ok());
+      ASSERT_TRUE(twin_.ProcessReading(r, &out).ok());
+    }
+    for (uint32_t id = 0; id < fed_.filter().num_objects(); ++id) {
+      const ObjectBelief& a = fed_.filter().belief(id);
+      const ObjectBelief& b = twin_.filter().belief(id);
+      ASSERT_EQ(a.xs, b.xs) << "object " << id;
+      ASSERT_EQ(a.ys, b.ys) << "object " << id;
+      ASSERT_EQ(a.ws, b.ws) << "object " << id;
+      ASSERT_EQ(a.detection_count, b.detection_count) << "object " << id;
+    }
+  }
+
+  WarehouseSimulator sim_;
+  std::vector<Point2> shelves_;
+  RfidTransformOperator fed_;
+  RfidTransformOperator twin_;
+};
+
+TEST_F(MalformedReadingTest, TagIdBeyondNumObjectsIsRejected) {
+  Reading bad = WarmUp(40);
+  bad.observed_objects.push_back(
+      static_cast<uint32_t>(SmallConfig().num_objects));
+  bad.observed_objects.push_back(0xffffffffu);
+  ExpectRejected(bad);
+  ExpectStateUntouched();
+}
+
+TEST_F(MalformedReadingTest, NonFiniteTimeIsRejected) {
+  Reading bad = WarmUp(40);
+  bad.time_s = std::nan("");
+  ExpectRejected(bad);
+  bad.time_s = std::numeric_limits<double>::infinity();
+  ExpectRejected(bad);
+  bad.time_s = 1e300;  // finite, but no int64 microsecond timestamp
+  ExpectRejected(bad);
+  ExpectStateUntouched();
+}
+
+TEST_F(MalformedReadingTest, NonFiniteReaderPoseIsRejected) {
+  const Reading good = WarmUp(40);
+  Reading bad = good;
+  bad.reader_pos.x = std::numeric_limits<double>::infinity();
+  ExpectRejected(bad);
+  bad = good;
+  bad.reader_pos.y = -std::numeric_limits<double>::infinity();
+  ExpectRejected(bad);
+  bad = good;
+  bad.reader_pos.x = std::nan("");
+  ExpectRejected(bad);
+  bad = good;
+  bad.reader_heading_rad = std::nan("");
+  ExpectRejected(bad);
+  ExpectStateUntouched();
+}
+
+TEST_F(MalformedReadingTest, FarAwayFiniteReaderIsDefined) {
+  // Finite but far outside the warehouse: no candidate cells, no UB in
+  // the cell math, and the operator keeps working.
+  Reading far = WarmUp(10);
+  far.reader_pos = {1e300, -1e300};
+  far.observed_objects.clear();
+  stream::VectorCollector out;
+  EXPECT_TRUE(fed_.ProcessReading(far, &out).ok());
+  EXPECT_TRUE(out.tuples().empty());
 }
 
 }  // namespace

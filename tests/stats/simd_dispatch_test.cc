@@ -1,6 +1,7 @@
 // The SIMD dispatch contract: every kernel tier is lane-exact, so forcing
 // any available tier produces bitwise-identical CF grids, products, FFTs,
-// and densities (CDF grids are allowed 1e-12 but are bitwise in practice).
+// densities, logs and Box-Muller normal pairs (CDF grids are allowed 1e-12
+// but are bitwise in practice).
 // This is what lets the paned/sharded operators keep their exact-replay
 // guarantees on any host ISA. Also covers the cross-group CfGridCache:
 // hit/miss accounting, LRU bounding, uncacheable fallbacks, and the
@@ -12,6 +13,8 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -208,6 +211,151 @@ TEST(SimdDispatchTest, InversionEndToEndBitwiseAcrossTiers) {
       ASSERT_EQ(per_tier[0].BinMass(b), per_tier[k].BinMass(b)) << "bin " << b;
     }
   }
+}
+
+// ---- Log and normal_pairs ------------------------------------------------
+
+// Distance in units in the last place between two finite doubles of the
+// same sign.
+int64_t UlpDistance(double a, double b) {
+  int64_t ia, ib;
+  std::memcpy(&ia, &a, sizeof(a));
+  std::memcpy(&ib, &b, sizeof(b));
+  if (ia < 0) ia = INT64_MIN - ia;
+  if (ib < 0) ib = INT64_MIN - ib;
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+void ExpectBitwiseEq(const std::vector<double>& a, const std::vector<double>& b,
+                     const char* what) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(double)), 0)
+        << what << " [" << i << "]: " << a[i] << " vs " << b[i];
+  }
+}
+
+// Box-Muller inputs the way the particle filter draws them: u1 = 1 - U in
+// (0, 1], u2 = U in [0, 1), plus both ends of u1's range.
+void UniformPairs(size_t n, uint64_t seed, std::vector<double>* u1,
+                  std::vector<double>* u2) {
+  common::Rng rng(seed);
+  u1->resize(n);
+  u2->resize(n);
+  rng.FillUniform(u1->data(), n);
+  for (double& u : *u1) u = 1.0 - u;
+  rng.FillUniform(u2->data(), n);
+  (*u1)[0] = 1.0;
+  if (n > 1) (*u1)[1] = 0x1p-53;
+}
+
+TEST(SimdDispatchTest, LogBitwiseAcrossTiers) {
+  std::vector<double> x;
+  for (double v = 0x1p-53; v <= 1.0; v *= 1.0137) x.push_back(v);
+  x.push_back(1.0);
+  x.push_back(0x1p-53);
+  x.push_back(0x1p-1074);  // smallest subnormal
+  x.push_back(3.7e-310);   // subnormal
+  x.push_back(1.4142135623730951);
+  x.push_back(7.5e200);
+  if (x.size() % 4 == 0) x.push_back(0.75);  // keep an AVX2 scalar tail
+  std::vector<std::vector<double>> per_tier;
+  for (const Tier tier : AvailableTiers()) {
+    ScopedForceTier force(tier);
+    std::vector<double> out(x.size());
+    Active().log(x.data(), x.size(), out.data());
+    per_tier.push_back(std::move(out));
+  }
+  for (size_t k = 1; k < per_tier.size(); ++k) {
+    ExpectBitwiseEq(per_tier[0], per_tier[k], "log");
+  }
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (x[i] == 1.0) {
+      EXPECT_EQ(per_tier[0][i], 0.0);
+    }
+  }
+}
+
+TEST(SimdDispatchTest, LogWithinTwoUlpOfLibm) {
+  common::Rng rng(99);
+  std::vector<double> x(200003);
+  rng.FillUniform(x.data(), x.size());
+  for (double& v : x) v = 1.0 - v;  // (0, 1]
+  // Powers of two and their neighbours, down to the subnormal range.
+  for (int e = 0; e <= 1074; ++e) {
+    const double p = std::ldexp(1.0, -e);
+    x.push_back(p);
+    if (e < 1074) x.push_back(std::nextafter(p, 0.0));
+    x.push_back(std::nextafter(p, 1.0));
+  }
+  std::vector<double> out(x.size());
+  Active().log(x.data(), x.size(), out.data());
+  int64_t worst = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (x[i] == 1.0) {
+      ASSERT_EQ(out[i], 0.0);
+      continue;
+    }
+    const int64_t ulps = UlpDistance(out[i], std::log(x[i]));
+    ASSERT_LE(ulps, 2) << "log(" << x[i] << ") = " << out[i] << " vs libm "
+                       << std::log(x[i]);
+    worst = std::max(worst, ulps);
+  }
+  RecordProperty("worst_ulp", static_cast<int>(worst));
+}
+
+TEST(SimdDispatchTest, NormalPairsBitwiseAcrossTiers) {
+  for (const size_t n : {size_t{1}, size_t{3}, size_t{6}, size_t{8},
+                         size_t{61}, size_t{1027}}) {
+    std::vector<double> u1, u2;
+    UniformPairs(n, 1000 + n, &u1, &u2);
+    std::vector<std::vector<double>> z0s, z1s;
+    for (const Tier tier : AvailableTiers()) {
+      ScopedForceTier force(tier);
+      std::vector<double> z0(n), z1(n);
+      Active().normal_pairs(u1.data(), u2.data(), n, z0.data(), z1.data());
+      z0s.push_back(std::move(z0));
+      z1s.push_back(std::move(z1));
+    }
+    for (size_t k = 1; k < z0s.size(); ++k) {
+      ExpectBitwiseEq(z0s[0], z0s[k], "normal_pairs z0");
+      ExpectBitwiseEq(z1s[0], z1s[k], "normal_pairs z1");
+    }
+    // u1 = 1 gives a zero radius; u1 = 2^-53 the largest one, 8.57.
+    EXPECT_EQ(z0s[0][0], 0.0);
+    EXPECT_EQ(z1s[0][0], 0.0);
+    if (n > 1) {
+      EXPECT_NEAR(std::hypot(z0s[0][1], z1s[0][1]),
+                  std::sqrt(-2.0 * std::log(0x1p-53)), 1e-12);
+    }
+  }
+}
+
+TEST(SimdDispatchTest, NormalPairsMomentsAreStandardNormal) {
+  const size_t n = 1'000'000;
+  std::vector<double> u1, u2;
+  UniformPairs(n, 77, &u1, &u2);
+  std::vector<double> z0(n), z1(n);
+  Active().normal_pairs(u1.data(), u2.data(), n, z0.data(), z1.data());
+  double s0 = 0.0, s1 = 0.0, ss0 = 0.0, ss1 = 0.0, s01 = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    s0 += z0[i];
+    s1 += z1[i];
+    ss0 += z0[i] * z0[i];
+    ss1 += z1[i] * z1[i];
+    s01 += z0[i] * z1[i];
+  }
+  const double dn = static_cast<double>(n);
+  const double m0 = s0 / dn, m1 = s1 / dn;
+  const double v0 = ss0 / dn - m0 * m0, v1 = ss1 / dn - m1 * m1;
+  const double corr = (s01 / dn - m0 * m1) / std::sqrt(v0 * v1);
+  // Standard errors at n = 1e6: mean 1e-3, variance 1.4e-3, corr 1e-3;
+  // the bounds are five of them.
+  EXPECT_NEAR(m0, 0.0, 5e-3);
+  EXPECT_NEAR(m1, 0.0, 5e-3);
+  EXPECT_NEAR(v0, 1.0, 7e-3);
+  EXPECT_NEAR(v1, 1.0, 7e-3);
+  EXPECT_NEAR(corr, 0.0, 5e-3);
 }
 
 // ---- CfGridCache ---------------------------------------------------------
