@@ -12,7 +12,29 @@ namespace rfid {
 
 namespace {
 constexpr double kWeightFloor = 1e-12;
+
+// Shared by both filters: a reading they can assimilate names only
+// tracked tags and carries a finite time, reader position and heading.
+common::Status ValidateReadingFor(const Reading& reading,
+                                  size_t num_objects) {
+  if (!std::isfinite(reading.time_s) ||
+      !std::isfinite(reading.reader_pos.x) ||
+      !std::isfinite(reading.reader_pos.y) ||
+      !std::isfinite(reading.reader_heading_rad)) {
+    return common::Status::InvalidArgument(
+        "reading has a non-finite time, reader position or heading");
+  }
+  for (uint32_t id : reading.observed_objects) {
+    if (id >= num_objects) {
+      return common::Status::InvalidArgument(
+          "reading names tag id " + std::to_string(id) +
+          " but the filter tracks " + std::to_string(num_objects) +
+          " objects");
+    }
+  }
+  return common::Status::OK();
 }
+}  // namespace
 
 Point2 ObjectBelief::Mean() const {
   Point2 m;
@@ -307,22 +329,7 @@ void FactoredParticleFilter::ReindexObject(uint32_t id,
 
 common::Status FactoredParticleFilter::ValidateReading(
     const Reading& reading) const {
-  if (!std::isfinite(reading.time_s) ||
-      !std::isfinite(reading.reader_pos.x) ||
-      !std::isfinite(reading.reader_pos.y) ||
-      !std::isfinite(reading.reader_heading_rad)) {
-    return common::Status::InvalidArgument(
-        "reading has a non-finite time, reader position or heading");
-  }
-  for (uint32_t id : reading.observed_objects) {
-    if (id >= beliefs_.size()) {
-      return common::Status::InvalidArgument(
-          "reading names tag id " + std::to_string(id) +
-          " but the filter tracks " + std::to_string(beliefs_.size()) +
-          " objects");
-    }
-  }
-  return common::Status::OK();
+  return ValidateReadingFor(reading, beliefs_.size());
 }
 
 size_t FactoredParticleFilter::ProcessReading(const Reading& reading) {
@@ -407,7 +414,8 @@ JointParticleFilter::JointParticleFilter(size_t num_objects,
   }
 }
 
-void JointParticleFilter::ProcessReading(const Reading& reading) {
+common::Status JointParticleFilter::ProcessReading(const Reading& reading) {
+  USP_RETURN_NOT_OK(ValidateReadingFor(reading, ever_detected_.size()));
   const double dt = std::max(reading.time_s - last_update_s_, 0.0);
   last_update_s_ = reading.time_s;
   const double sigma = opts_.random_walk_sigma * std::sqrt(std::max(dt, 0.0));
@@ -468,6 +476,7 @@ void JointParticleFilter::ProcessReading(const Reading& reading) {
     particles_ = std::move(next);
     weights_.assign(weights_.size(), step);
   }
+  return common::Status::OK();
 }
 
 Point2 JointParticleFilter::EstimateMean(uint32_t id) const {

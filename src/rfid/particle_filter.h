@@ -156,7 +156,11 @@ class JointParticleFilter {
                       const SensingModel& sensing,
                       const FilterOptions& options);
 
-  void ProcessReading(const Reading& reading);
+  /// Assimilate one reading. InvalidArgument, with no state changed, when
+  /// the reading fails FactoredParticleFilter::ValidateReading's checks
+  /// (a tag id >= num_objects, or a non-finite time, reader position or
+  /// heading).
+  common::Status ProcessReading(const Reading& reading);
 
   Point2 EstimateMean(uint32_t id) const;
   double MeanErrorAgainst(const std::vector<Point2>& truth) const;

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "stats/simd/dispatch.h"
+#include "stats/simd/kernels.h"
 
 namespace usp {
 namespace stats {
@@ -84,15 +85,13 @@ double GammaDist::Cdf(double x) const {
 }
 
 std::complex<double> GammaDist::Cf(double t) const {
-  // (1 - i theta t)^{-k}
-  const std::complex<double> base(1.0, -scale_ * t);
-  return std::pow(base, -shape_);
+  // (1 - i theta t)^{-k}, through the grid kernel's point form so that
+  // CfGrid == Cf holds bitwise on every dispatch tier.
+  return simd::GammaCfPoint(shape_, scale_, t);
 }
 
 void GammaDist::CfGrid(const double* t, size_t n,
                        std::complex<double>* out) const {
-  // Both dispatch tiers route here: complex pow has no lane-exact vector
-  // form, so the table registers this same per-lane loop for every ISA.
   simd::Active().gamma_cf_grid(shape_, scale_, t, n, out);
 }
 

@@ -23,6 +23,7 @@
 #include <cassert>
 #include <complex>
 #include <cstddef>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -137,16 +138,52 @@ void ExponentialCfGridT(double rate, const double* __restrict t, std::size_t n,
   }
 }
 
-// Gamma(shape, scale): (1 - i*scale*t)^{-shape} has no cheap lane-exact
-// vector form (complex pow), so every tier runs this same per-lane libm
-// loop — registered in both dispatch tables on purpose.
-inline void GammaCfGridScalar(double shape, double scale,
-                              const double* __restrict t, std::size_t n,
-                              std::complex<double>* __restrict out) {
+// Shapes above this bound leave the vector form (see GammaCfGridT).
+inline constexpr double kGammaCfMaxVectorShape = 0x1p20;
+
+// Gamma(shape, scale): (1 - i x)^{-shape} with x = scale * t, in polar
+// form (1 + x^2)^{-shape/2} * (cos(shape * atan x) + i sin(shape * atan x)).
+// The modulus is exp(-shape/2 * L) with L = log(1 + x^2), or 2 log|x| once
+// |x| > 2^500 (x^2 would overflow; |x| is clamped to DBL_MAX so an
+// overflowed scale * t reads as the largest finite x). atan is a shared
+// per-lane libm call, as erfc is. t == 0 gives exactly (1, 0), and
+// cf(-t) == conj(cf(t)) bitwise. A shape above kGammaCfMaxVectorShape
+// would push shape * atan x past the range SinCos reduces accurately, so
+// such grids take the complex pow per point on every tier (the branch
+// depends on the shape only, so the tiers still agree lane for lane).
+template <class B>
+void GammaCfGridT(double shape, double scale, const double* __restrict t,
+                  std::size_t n, std::complex<double>* __restrict out) {
   assert(NoOverlap(t, n * sizeof(*t), out, n * sizeof(*out)));
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::complex<double> base(1.0, -scale * t[i]);
-    out[i] = std::pow(base, -shape);
+  if (!(shape <= kGammaCfMaxVectorShape)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = std::pow(std::complex<double>(1.0, -scale * t[i]), -shape);
+    }
+    return;
+  }
+  const auto vscale = B::Set(scale);
+  const auto vshape = B::Set(shape);
+  const auto vneg_half_shape = B::Set(-0.5 * shape);
+  const auto one = B::Set(1.0);
+  const auto two = B::Set(2.0);
+  const auto big = B::Set(0x1p500);
+  const auto dbl_max = B::Set(std::numeric_limits<double>::max());
+  std::size_t i = 0;
+  for (; i + B::kLanes <= n; i += B::kLanes) {
+    const auto x = B::Mul(vscale, B::Load(t + i));
+    auto ax = B::Abs(x);
+    ax = B::Select(B::Lt(ax, dbl_max), ax, dbl_max);
+    const auto is_big = B::Lt(big, ax);
+    const auto log_arg = B::Select(is_big, ax, B::Add(one, B::Mul(x, x)));
+    auto l = Log<B>(log_arg);
+    l = B::Select(is_big, B::Mul(two, l), l);
+    const auto modulus = Exp<B>(B::Mul(vneg_half_shape, l));
+    typename B::V s, c;
+    SinCos<B>(B::Mul(vshape, B::Atan(x)), &s, &c);
+    B::StoreComplex(out + i, B::Mul(modulus, c), B::Mul(modulus, s));
+  }
+  if constexpr (!std::is_same_v<B, ScalarBackend>) {
+    if (i < n) GammaCfGridT<ScalarBackend>(shape, scale, t + i, n - i, out + i);
   }
 }
 
@@ -402,6 +439,13 @@ inline std::complex<double> UniformCfPoint(double lo, double hi, double t) {
 inline std::complex<double> ExponentialCfPoint(double rate, double t) {
   std::complex<double> out;
   ExponentialCfGridT<ScalarBackend>(rate, &t, 1, &out);
+  return out;
+}
+
+inline std::complex<double> GammaCfPoint(double shape, double scale,
+                                         double t) {
+  std::complex<double> out;
+  GammaCfGridT<ScalarBackend>(shape, scale, &t, 1, &out);
   return out;
 }
 

@@ -53,10 +53,17 @@ struct Avx2Backend {
   static V NegateIf(V v, M m) {
     return _mm256_xor_pd(v, _mm256_and_pd(m, _mm256_set1_pd(-0.0)));
   }
+  static V Abs(V a) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a); }
   static V Erfc(V a) {
     double lanes[kLanes];
     _mm256_storeu_pd(lanes, a);
     for (std::size_t i = 0; i < kLanes; ++i) lanes[i] = std::erfc(lanes[i]);
+    return _mm256_loadu_pd(lanes);
+  }
+  static V Atan(V a) {
+    double lanes[kLanes];
+    _mm256_storeu_pd(lanes, a);
+    for (std::size_t i = 0; i < kLanes; ++i) lanes[i] = std::atan(lanes[i]);
     return _mm256_loadu_pd(lanes);
   }
 
@@ -186,7 +193,7 @@ const Dispatch kAvx2Dispatch = {
     &GmmCfGridAccumT<Avx2Backend>,
     &UniformCfGridT<Avx2Backend>,
     &ExponentialCfGridT<Avx2Backend>,
-    &GammaCfGridScalar,  // complex pow: same per-lane loop as scalar tier
+    &GammaCfGridT<Avx2Backend>,
     &GaussianCdfGridT<Avx2Backend>,
     &GmmCdfGridAccumT<Avx2Backend>,
     &ProductCfAccumT<Avx2Backend>,

@@ -29,7 +29,7 @@ const Dispatch kScalarDispatch = {
     &GmmCfGridAccumT<ScalarBackend>,
     &UniformCfGridT<ScalarBackend>,
     &ExponentialCfGridT<ScalarBackend>,
-    &GammaCfGridScalar,
+    &GammaCfGridT<ScalarBackend>,
     &GaussianCdfGridT<ScalarBackend>,
     &GmmCdfGridAccumT<ScalarBackend>,
     &ProductCfAccumT<ScalarBackend>,

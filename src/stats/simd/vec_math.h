@@ -15,8 +15,9 @@
 //  * exp, log and sin/cos are implemented HERE as branch-free polynomial
 //    kernels over backend ops instead of calling libm per lane — libm makes
 //    no cross-call-site reproducibility promise once values are in
-//    registers of different widths. (erfc stays a per-lane libm call: both tiers call
-//    the same symbol on the same values, which is lane-exact trivially.)
+//    registers of different widths. (erfc and atan stay per-lane libm
+//    calls: both tiers call the same symbol on the same values, which is
+//    lane-exact trivially.)
 //
 // Domain notes: Exp() is exact-zero below -745.2 and overflows to inf
 // naturally above ~709.8; Log() requires finite x > 0 (subnormals
@@ -90,7 +91,9 @@ struct ScalarBackend {
   static M MaskAnd(M a, M b) { return a && b; }
   static V Select(M m, V a, V b) { return m ? a : b; }
   static V NegateIf(V v, M m) { return m ? -v : v; }
+  static V Abs(V a) { return std::fabs(a); }
   static V Erfc(V a) { return std::erfc(a); }
+  static V Atan(V a) { return std::atan(a); }
 
   // 2^k for integral-valued k in [-1076, 1024] (biased-exponent bit trick;
   // callers split larger scalings into two steps).

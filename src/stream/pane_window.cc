@@ -65,6 +65,8 @@ PanedGroupByAggregateOperator::PanedGroupByAggregateOperator(
   assert(spec.size_us > 0 && spec.slide_us > 0 &&
          spec.slide_us <= spec.size_us);
   slot_of_ = AssignPartialSlots(aggregates_, &slot_rep_);
+  slot_partials_.resize(slot_rep_.size());
+  slot_values_.resize(slot_rep_.size());
 }
 
 int64_t PanedGroupByAggregateOperator::EarliestOpenWindowStart() const {
@@ -127,17 +129,28 @@ common::Status PanedGroupByAggregateOperator::Add(const Tuple& tuple,
 common::Status PanedGroupByAggregateOperator::EmitWindow(int64_t start,
                                                          Collector* out) {
   const int64_t end = start + spec_.size_us;
-  std::vector<PanePartial*> partials;
-  // One output row from the group's states (ascending pane order).
+  // One output row from the group's states (ascending pane order): each
+  // slot is combined once, then every column finishes from its slot.
   auto emit_group = [&](const std::string& key, GroupState* const* states,
                         size_t num_states) -> common::Status {
-    Tuple result(end, {Value(key)});
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
+    for (size_t s = 0; s < slot_rep_.size(); ++s) {
+      std::vector<PanePartial*>& partials = slot_partials_[s];
       partials.clear();
       for (size_t i = 0; i < num_states; ++i) {
-        partials.push_back(states[i]->partials[slot_of_[a]].get());
+        partials.push_back(states[i]->partials[s].get());
       }
-      auto v = aggregates_[a].finalize(partials);
+      auto v = aggregates_[slot_rep_[s]].combine(partials);
+      if (!v.ok()) return v.status();
+      slot_values_[s] = v.MoveValueUnsafe();
+    }
+    Tuple result(end, {Value(key)});
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      const size_t s = slot_of_[a];
+      if (!aggregates_[a].finish) {
+        result.AppendValue(slot_values_[s]);
+        continue;
+      }
+      auto v = aggregates_[a].finish(slot_values_[s], slot_partials_[s]);
       if (!v.ok()) return v.status();
       result.AppendValue(v.MoveValueUnsafe());
     }

@@ -44,6 +44,13 @@ class PanePartial {
 };
 
 /// One output aggregate column computed from pane partials.
+///
+/// A window's value is built in two steps. `combine` folds the window's
+/// partials into the column's slot value; it runs ONCE per (window, group,
+/// accumulator slot), so columns sharing a partial_signature share that
+/// work (e.g. SUM and AVG of one attribute pay one CF inversion). `finish`
+/// then turns the slot value into this column's output (e.g. SUM adds the
+/// certain shift, AVG divides by the count).
 struct PaneAggregateSpec {
   std::string output_name;
   /// Fresh empty partial for a new (pane, group) cell.
@@ -51,16 +58,22 @@ struct PaneAggregateSpec {
   /// Accumulate one tuple (arrival order within the pane).
   std::function<common::Status(PanePartial*, const Tuple&)> add;
   /// Combine the window's partials (ascending pane order; one entry per
-  /// pane where the group appeared) into the output value. Partials may
+  /// pane where the group appeared) into the slot value. Partials may
   /// mutate (lazily computed caches shared across overlapping windows).
   std::function<common::Result<Value>(const std::vector<PanePartial*>&)>
-      finalize;
+      combine;
+  /// The column's output from its slot value and the same partials (for
+  /// cheap per-column reads such as a count). Null: the slot value is the
+  /// output.
+  std::function<common::Result<Value>(const Value& slot_value,
+                                      const std::vector<PanePartial*>&)>
+      finish;
   /// Accumulator-sharing key. Two specs with equal non-empty signatures
-  /// promise identical make_partial/add behaviour (only finalize may
-  /// differ — e.g. SUM and AVG over one attribute share partials and
-  /// diverge only in the denominator), so the operator accumulates ONE
-  /// partial per (pane, group) for the whole signature class and each
-  /// column finalizes from the shared state. Empty = never shared.
+  /// promise identical make_partial/add/combine behaviour (only finish
+  /// may differ), so the operator accumulates ONE partial per (pane,
+  /// group) for the whole signature class, combines it once per window
+  /// with the first such column's `combine`, and each column finishes from
+  /// the shared slot value. Empty = never shared.
   std::string partial_signature;
 };
 
@@ -146,11 +159,16 @@ class PanedGroupByAggregateOperator final : public Operator {
   std::vector<PaneAggregateSpec> aggregates_;
   /// Accumulator slot per aggregate column: columns with equal non-empty
   /// partial_signature share one slot (and therefore one partial per
-  /// (pane, group) — `add` runs once per slot, each column's own
-  /// `finalize` reads the shared state).
+  /// (pane, group) — `add` and `combine` run once per slot, each column's
+  /// own `finish` reads the shared slot value).
   std::vector<size_t> slot_of_;
-  /// Representative aggregate index per slot (owns make_partial/add).
+  /// Representative aggregate index per slot (owns make_partial/add/
+  /// combine).
   std::vector<size_t> slot_rep_;
+  /// Emit scratch, one entry per slot, reused across groups and windows:
+  /// the group's partials in pane order, and the slot's combined value.
+  std::vector<std::vector<PanePartial*>> slot_partials_;
+  std::vector<Value> slot_values_;
   HavingFn having_;
   GridCacheProbe grid_cache_probe_;
   bool watermark_only_closure_ = false;

@@ -48,15 +48,6 @@ Status CheckAttr(const Tuple& t, size_t attr_index) {
   return Status::OK();
 }
 
-// Shared tail of every SUM finalize, replicating SumImpl in aggregates.cc:
-// fold the certain shift / AVG denominator in via an affine transform.
-Result<Value> FinishSum(DistributionPtr sum, double shift, double denom) {
-  if (shift == 0.0 && denom == 1.0) return Value(std::move(sum));
-  auto adjusted = AffineOf(*sum, 1.0 / denom, shift / denom);
-  if (!adjusted.ok()) return adjusted.status();
-  return Value(adjusted.MoveValueUnsafe());
-}
-
 // ---------------------------------------------------------------------------
 // SUM partials
 // ---------------------------------------------------------------------------
@@ -65,6 +56,34 @@ struct SumPartialBase : PanePartial {
   double shift = 0.0;  ///< sum of certain numeric values
   size_t count = 0;    ///< tuples accumulated (certain + uncertain)
 };
+
+// The per-column finish shared by every SUM / AVG strategy, replicating
+// SumImpl in aggregates.cc. `sum` is the slot value every strategy's
+// combine produces: the window's distribution-valued sum before the
+// certain shift, or null when the group held no distribution. The shift
+// and count are re-read from the partials (a few adds per pane); AVG then
+// folds shift and denominator into one affine transform.
+Result<Value> FinishSumColumn(const Value& sum,
+                              const std::vector<PanePartial*>& parts,
+                              bool as_mean) {
+  double shift = 0.0;
+  size_t count = 0;
+  for (PanePartial* p : parts) {
+    const auto* sp = static_cast<const SumPartialBase*>(p);
+    shift += sp->shift;
+    count += sp->count;
+  }
+  if (count == 0) {
+    return Status::InvalidArgument("aggregate over empty group");
+  }
+  const double denom = as_mean ? static_cast<double>(count) : 1.0;
+  if (!sum.is_distribution()) return Value(shift / denom);
+  if (shift == 0.0 && denom == 1.0) return sum;
+  auto adjusted =
+      AffineOf(*sum.AsDistribution(), 1.0 / denom, shift / denom);
+  if (!adjusted.ok()) return adjusted.status();
+  return Value(adjusted.MoveValueUnsafe());
+}
 
 /// kClt: running cumulant sums.
 struct MomentPartial final : SumPartialBase {
@@ -91,29 +110,49 @@ void MultiplyPinned(std::complex<double>* acc, std::complex<double> factor) {
   if (stats::simd::CNorm(*acc) < stats::simd::kCfNormPin) *acc = zero;
 }
 
-/// kCfInversion: the pane's distributions plus a lazily computed partial
-/// product of their CFs on the shared FFT frequency grid t_j = j * dt
-/// (positive half; the negative half is the conjugate mirror). The grid is
-/// keyed by dt — power-of-two width bucketing keeps dt identical across
-/// overlapping windows, so the grid is evaluated once per pane.
+/// kCfInversion: the pane's distributions plus lazily computed partial
+/// products of their CFs on the shared FFT frequency grid t_j = j * dt
+/// (positive half; the negative half is the conjugate mirror). Power-of-
+/// two width bucketing keeps dt identical across most overlapping
+/// windows, but the windows sharing a pane can land in adjacent buckets
+/// (dt and 2 dt) as their variance moves, so the pane keeps a grid for
+/// each of the two most recently used spacings: windows alternating
+/// between two buckets evaluate each grid once.
 struct CfGridPartial final : SumPartialBase {
+  struct Grid {
+    double dt = 0.0;
+    std::vector<std::complex<double>> values;
+  };
   std::vector<DistributionPtr> dists;
   double mean_sum = 0.0;
   double var_sum = 0.0;
-  double grid_dt = 0.0;
-  size_t grid_dist_count = 0;  ///< dists.size() when the grid was built
-  std::vector<std::complex<double>> grid;
+  size_t grid_dist_count = 0;  ///< dists.size() when the grids were built
+  Grid grids[2];
+  size_t last_used = 0;  ///< index into grids of the latest EnsureGrid
 
-  void EnsureGrid(double dt, size_t points, stats::CfInversionWorkspace* ws) {
+  /// The pane's product grid at spacing dt, holding at least `points`
+  /// frequencies.
+  const std::complex<double>* EnsureGrid(double dt, size_t points,
+                                         stats::CfInversionWorkspace* ws) {
     // Under the DSMS ordering contract a pane is complete before any
     // window containing it closes, but a mildly late tuple must not leave
     // a stale cache behind: rebuild if the pane grew since the cache.
-    if (grid_dt != dt || grid_dist_count != dists.size()) {
-      grid.clear();
-      grid_dt = dt;
+    if (grid_dist_count != dists.size()) {
+      for (Grid& g : grids) {
+        g.dt = 0.0;
+        g.values.clear();
+      }
       grid_dist_count = dists.size();
     }
-    if (grid.size() >= points) return;
+    size_t slot = grids[0].dt == dt ? 0 : 1;
+    if (grids[slot].dt != dt) {
+      slot = 1 - last_used;  // replace the least recently used spacing
+      grids[slot].dt = dt;
+      grids[slot].values.clear();
+    }
+    last_used = slot;
+    std::vector<std::complex<double>>& grid = grids[slot].values;
+    if (grid.size() >= points) return grid.data();
     // Same spacing, larger n: extend with the new frequencies only.
     const size_t old = grid.size();
     std::vector<const stats::Distribution*> raw;
@@ -126,12 +165,13 @@ struct CfGridPartial final : SumPartialBase {
     grid.resize(points);
     stats::ProductCfGrid(raw, ws->t_grid.data(), points - old,
                          grid.data() + old, &ws->dist_cf, &ws->grid_cache);
+    return grid.data();
   }
 };
 
 /// kHistogram / kMonteCarlo: no additive shortcut — store the pane's
 /// distributions once (instead of once per overlapping window) and rerun
-/// the strategy at finalize.
+/// the strategy at combine.
 struct DistListPartial final : SumPartialBase {
   std::vector<DistributionPtr> dists;
 };
@@ -155,10 +195,9 @@ Result<DistributionPtr> PaneSharedInversionSum(
   const size_t kMaxN = size_t{1} << 20;
   for (;;) {
     const size_t half = n / 2;
-    for (CfGridPartial* p : panes) p->EnsureGrid(dt, half + 1, ws);
     ws->phi.assign(n, std::complex<double>(1.0, 0.0));
-    for (const CfGridPartial* p : panes) {
-      const std::complex<double>* g = p->grid.data();
+    for (CfGridPartial* p : panes) {
+      const std::complex<double>* g = p->EnsureGrid(dt, half + 1, ws);
       for (size_t k = 0; k < n; ++k) {
         const int64_t j = static_cast<int64_t>(k) - static_cast<int64_t>(half);
         ws->phi[k] *= j >= 0 ? g[j] : std::conj(g[-j]);
@@ -315,13 +354,19 @@ PaneAggregateSpec MakePaneSumImpl(std::string output_name, size_t attr_index,
                                   bool as_mean) {
   PaneAggregateSpec spec;
   spec.output_name = std::move(output_name);
-  // SUM and AVG of one (attribute, strategy) build identical partials with
-  // identical `add` closures — only the finalize denominator differs — so
-  // they share one accumulator slot per (pane, group). grid_points is in
-  // the key to keep the lazily built CF-grid caches coherent.
+  // SUM and AVG of one (attribute, strategy) build identical partials
+  // with identical `add` and `combine` closures — only the finish
+  // denominator differs — so they share one accumulator slot per (pane,
+  // group) and one combine (for CF inversion: one inversion) per (window,
+  // group). combine also captures grid_points, so it is in the key (the
+  // workspace it captures is scratch only).
   spec.partial_signature =
       "sum:" + std::to_string(static_cast<int>(kind)) + ":" +
       std::to_string(attr_index) + ":" + std::to_string(opts.grid_points);
+  spec.finish = [as_mean](const Value& sum,
+                          const std::vector<PanePartial*>& parts) {
+    return FinishSumColumn(sum, parts, as_mean);
+  };
   switch (kind) {
     case SumStrategyKind::kClt: {
       spec.make_partial = [] { return std::make_unique<MomentPartial>(); };
@@ -340,29 +385,22 @@ PaneAggregateSpec MakePaneSumImpl(std::string output_name, size_t attr_index,
         ++mp->count;
         return Status::OK();
       };
-      spec.finalize =
-          [as_mean](const std::vector<PanePartial*>& parts) -> Result<Value> {
-        double shift = 0.0, mean = 0.0, var = 0.0;
-        size_t count = 0, dist_count = 0;
+      spec.combine =
+          [](const std::vector<PanePartial*>& parts) -> Result<Value> {
+        double mean = 0.0, var = 0.0;
+        size_t dist_count = 0;
         for (PanePartial* p : parts) {
           const auto* mp = static_cast<const MomentPartial*>(p);
-          shift += mp->shift;
           mean += mp->mean_sum;
           var += mp->var_sum;
-          count += mp->count;
           dist_count += mp->dist_count;
         }
-        if (count == 0) {
-          return Status::InvalidArgument("aggregate over empty group");
-        }
-        const double denom = as_mean ? static_cast<double>(count) : 1.0;
-        if (dist_count == 0) return Value(shift / denom);
+        if (dist_count == 0) return Value();
         // CltSum::SumOf's exact construction.
         auto g = stats::Gaussian::Make(mean, std::sqrt(std::max(var, 1e-24)));
         if (!g.ok()) return g.status();
-        return FinishSum(DistributionPtr(std::make_shared<stats::Gaussian>(
-                             g.MoveValueUnsafe())),
-                         shift, denom);
+        return Value(DistributionPtr(
+            std::make_shared<stats::Gaussian>(g.MoveValueUnsafe())));
       };
       break;
     }
@@ -383,24 +421,17 @@ PaneAggregateSpec MakePaneSumImpl(std::string output_name, size_t attr_index,
         ++cp->count;
         return Status::OK();
       };
-      spec.finalize =
-          [as_mean](const std::vector<PanePartial*>& parts) -> Result<Value> {
-        double shift = 0.0;
-        size_t count = 0, dist_count = 0;
+      spec.combine =
+          [](const std::vector<PanePartial*>& parts) -> Result<Value> {
+        size_t dist_count = 0;
         std::complex<double> phi_h(1.0, 0.0), phi_mh(1.0, 0.0);
         for (PanePartial* p : parts) {
           const auto* cp = static_cast<const CfProbePartial*>(p);
-          shift += cp->shift;
-          count += cp->count;
           dist_count += cp->dist_count;
           MultiplyPinned(&phi_h, cp->prod_ph);
           MultiplyPinned(&phi_mh, cp->prod_mh);
         }
-        if (count == 0) {
-          return Status::InvalidArgument("aggregate over empty group");
-        }
-        const double denom = as_mean ? static_cast<double>(count) : 1.0;
-        if (dist_count == 0) return Value(shift / denom);
+        if (dist_count == 0) return Value();
         // FitGaussianToCf / MomentsFromCf on the window's product CF: the
         // two probe products are exactly the closure evaluations.
         const std::complex<double> kp = std::log(phi_h);
@@ -413,9 +444,8 @@ PaneAggregateSpec MakePaneSumImpl(std::string output_name, size_t attr_index,
             mean, std::max(std::sqrt(std::max(var, 0.0)),
                            kApproxStddevFloor));
         if (!g.ok()) return g.status();
-        return FinishSum(DistributionPtr(std::make_shared<stats::Gaussian>(
-                             g.MoveValueUnsafe())),
-                         shift, denom);
+        return Value(DistributionPtr(
+            std::make_shared<stats::Gaussian>(g.MoveValueUnsafe())));
       };
       break;
     }
@@ -438,25 +468,16 @@ PaneAggregateSpec MakePaneSumImpl(std::string output_name, size_t attr_index,
       };
       const size_t grid_points = opts.grid_points;
       stats::CfInversionWorkspace* ws = opts.workspace;
-      spec.finalize = [grid_points, ws, as_mean](
-                          const std::vector<PanePartial*>& parts)
+      spec.combine = [grid_points, ws](const std::vector<PanePartial*>& parts)
           -> Result<Value> {
         stats::CfInversionWorkspace local;
         stats::CfInversionWorkspace* w = ws ? ws : &local;
-        double shift = 0.0;
-        size_t count = 0;
         std::vector<CfGridPartial*> nonempty;
         for (PanePartial* p : parts) {
           auto* gp = static_cast<CfGridPartial*>(p);
-          shift += gp->shift;
-          count += gp->count;
           if (!gp->dists.empty()) nonempty.push_back(gp);
         }
-        if (count == 0) {
-          return Status::InvalidArgument("aggregate over empty group");
-        }
-        const double denom = as_mean ? static_cast<double>(count) : 1.0;
-        if (nonempty.empty()) return Value(shift / denom);
+        if (nonempty.empty()) return Value();
         Result<DistributionPtr> sum = [&]() -> Result<DistributionPtr> {
           if (nonempty.size() == 1) {
             // Single-pane window (tumbling): the exact per-window kernel,
@@ -477,7 +498,7 @@ PaneAggregateSpec MakePaneSumImpl(std::string output_name, size_t attr_index,
           return PaneSharedInversionSum(nonempty, grid_points, w);
         }();
         if (!sum.ok()) return sum.status();
-        return FinishSum(sum.MoveValueUnsafe(), shift, denom);
+        return Value(sum.MoveValueUnsafe());
       };
       break;
     }
@@ -500,26 +521,17 @@ PaneAggregateSpec MakePaneSumImpl(std::string output_name, size_t attr_index,
       // storing each tuple's distribution once per pane instead of once
       // per overlapping window.
       std::shared_ptr<SumStrategy> strategy = MakeSumStrategy(kind);
-      spec.finalize = [strategy, as_mean](
-                          const std::vector<PanePartial*>& parts)
+      spec.combine = [strategy](const std::vector<PanePartial*>& parts)
           -> Result<Value> {
-        double shift = 0.0;
-        size_t count = 0;
         std::vector<const stats::Distribution*> raw;
         for (PanePartial* p : parts) {
           const auto* dp = static_cast<const DistListPartial*>(p);
-          shift += dp->shift;
-          count += dp->count;
           for (const DistributionPtr& d : dp->dists) raw.push_back(d.get());
         }
-        if (count == 0) {
-          return Status::InvalidArgument("aggregate over empty group");
-        }
-        const double denom = as_mean ? static_cast<double>(count) : 1.0;
-        if (raw.empty()) return Value(shift / denom);
+        if (raw.empty()) return Value();
         auto sum = strategy->SumOf(raw);
         if (!sum.ok()) return sum.status();
-        return FinishSum(sum.MoveValueUnsafe(), shift, denom);
+        return Value(sum.MoveValueUnsafe());
       };
       break;
     }
@@ -533,8 +545,9 @@ PaneAggregateSpec MakePaneExtremeImpl(std::string output_name,
                                       bool is_max) {
   PaneAggregateSpec spec;
   spec.output_name = std::move(output_name);
-  // bins only affects finalize, but keeping it in the key avoids lattice
-  // cache thrash between columns finalizing at different resolutions.
+  // bins only affects combine, but combine runs once per slot, so columns
+  // at different resolutions must not share one (and their lattice caches
+  // would thrash).
   spec.partial_signature = std::string(is_max ? "max:" : "min:") +
                            std::to_string(attr_index) + ":" +
                            std::to_string(bins);
@@ -563,7 +576,7 @@ PaneAggregateSpec MakePaneExtremeImpl(std::string output_name,
     return Status::OK();
   };
   stats::CfInversionWorkspace* ws = opts.workspace;
-  spec.finalize = [bins, is_max, ws](const std::vector<PanePartial*>& parts)
+  spec.combine = [bins, is_max, ws](const std::vector<PanePartial*>& parts)
       -> Result<Value> {
     stats::CfInversionWorkspace local;
     stats::CfInversionWorkspace* w = ws ? ws : &local;
@@ -645,7 +658,7 @@ PaneAggregateSpec MakePaneCountAggregate(std::string output_name) {
     ++static_cast<CountPartial*>(p)->count;
     return Status::OK();
   };
-  spec.finalize =
+  spec.combine =
       [](const std::vector<PanePartial*>& parts) -> Result<Value> {
     int64_t total = 0;
     for (PanePartial* p : parts) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "rfid/model.h"
@@ -222,7 +223,7 @@ TEST(JointFilterTest, TracksSmallWorld) {
   JointParticleFilter filter(5, sim.shelf_positions(), config.sensing,
                              opts);
   for (int i = 0; i < 600; ++i) {
-    filter.ProcessReading(sim.Step());
+    ASSERT_TRUE(filter.ProcessReading(sim.Step()).ok());
   }
   const double err = filter.MeanErrorAgainst(sim.true_object_positions());
   // The joint filter is crude but must beat the ~25 ft uniform prior.
@@ -243,12 +244,44 @@ TEST(JointFilterTest, FactoredBeatsJointAtSameBudget) {
                             opts);
   for (int i = 0; i < 400; ++i) {
     factored.ProcessReading(sim_a.Step());
-    joint.ProcessReading(sim_b.Step());
+    ASSERT_TRUE(joint.ProcessReading(sim_b.Step()).ok());
   }
   const double err_f =
       factored.MeanErrorAgainst(sim_a.true_object_positions());
   const double err_j = joint.MeanErrorAgainst(sim_b.true_object_positions());
   EXPECT_LT(err_f, err_j);
+}
+
+TEST(JointFilterTest, RejectsMalformedReadingsWithoutStateChange) {
+  // A tag id past the tracked objects once wrote out of bounds; it and a
+  // non-finite time must be refused before any particle, weight or clock
+  // moves — a twin filter that never saw them stays bitwise in step.
+  const WarehouseConfig config = SmallConfig(5);
+  WarehouseSimulator sim(config);
+  FilterOptions opts = DefaultOpts();
+  opts.particles_per_object = 50;
+  JointParticleFilter fed(5, sim.shelf_positions(), config.sensing, opts);
+  JointParticleFilter twin(5, sim.shelf_positions(), config.sensing, opts);
+  const Reading first = sim.Step();
+  ASSERT_TRUE(fed.ProcessReading(first).ok());
+  ASSERT_TRUE(twin.ProcessReading(first).ok());
+
+  const Reading next = sim.Step();
+  Reading bad_tag = next;
+  bad_tag.observed_objects.push_back(100000);
+  EXPECT_EQ(fed.ProcessReading(bad_tag).code(),
+            common::StatusCode::kInvalidArgument);
+  Reading bad_time = next;
+  bad_time.time_s = std::nan("");
+  EXPECT_EQ(fed.ProcessReading(bad_time).code(),
+            common::StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(fed.ProcessReading(next).ok());
+  ASSERT_TRUE(twin.ProcessReading(next).ok());
+  for (uint32_t id = 0; id < 5; ++id) {
+    EXPECT_EQ(fed.EstimateMean(id).x, twin.EstimateMean(id).x) << id;
+    EXPECT_EQ(fed.EstimateMean(id).y, twin.EstimateMean(id).y) << id;
+  }
 }
 
 }  // namespace

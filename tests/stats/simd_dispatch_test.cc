@@ -1,7 +1,7 @@
 // The SIMD dispatch contract: every kernel tier is lane-exact, so forcing
 // any available tier produces bitwise-identical CF grids, products, FFTs,
-// densities, logs and Box-Muller normal pairs (CDF grids are allowed 1e-12
-// but are bitwise in practice).
+// densities, logs, gamma CFs and Box-Muller normal pairs (CDF grids are
+// allowed 1e-12 but are bitwise in practice).
 // This is what lets the paned/sharded operators keep their exact-replay
 // guarantees on any host ISA. Also covers the cross-group CfGridCache:
 // hit/miss accounting, LRU bounding, uncacheable fallbacks, and the
@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "common/math_util.h"
@@ -26,6 +28,7 @@
 #include "stats/gaussian.h"
 #include "stats/gaussian_mixture.h"
 #include "stats/histogram.h"
+#include "stats/simd/kernels.h"
 #include "stats/uniform.h"
 
 namespace usp {
@@ -356,6 +359,118 @@ TEST(SimdDispatchTest, NormalPairsMomentsAreStandardNormal) {
   EXPECT_NEAR(v0, 1.0, 7e-3);
   EXPECT_NEAR(v1, 1.0, 7e-3);
   EXPECT_NEAR(corr, 0.0, 5e-3);
+}
+
+// ---- gamma CF kernel ------------------------------------------------------
+
+constexpr double kGammaShapes[] = {0.5, 1.0, 2.5, 40.0};
+
+// Frequencies spanning the CF's decay for scales around 1, both signs,
+// plus 0 and points whose scale * t overflows x^2 (and x itself).
+std::vector<double> GammaProbeGrid(size_t n) {
+  std::vector<double> t = ProbeGrid(n);
+  for (const double big : {1e20, 1e160, 1.7e308}) {
+    t.push_back(big);
+    t.push_back(-big);
+  }
+  return t;
+}
+
+TEST(SimdDispatchTest, GammaCfBitwiseAcrossTiersAndPointForm) {
+  for (const size_t n : {size_t{1}, size_t{3}, size_t{5}, size_t{258}}) {
+    const std::vector<double> t = GammaProbeGrid(n + 1);
+    for (const double shape : kGammaShapes) {
+      for (const double scale : {0.37, 1.0, 3e5}) {
+        std::vector<std::vector<std::complex<double>>> per_tier;
+        for (const Tier tier : AvailableTiers()) {
+          ScopedForceTier force(tier);
+          std::vector<std::complex<double>> out(t.size());
+          Active().gamma_cf_grid(shape, scale, t.data(), t.size(),
+                                 out.data());
+          per_tier.push_back(std::move(out));
+        }
+        for (size_t k = 1; k < per_tier.size(); ++k) {
+          ExpectComplexEq(per_tier[0], per_tier[k], "gamma_cf_grid");
+        }
+        const GammaDist g(shape, scale);
+        for (size_t i = 0; i < t.size(); ++i) {
+          const std::complex<double> one = g.Cf(t[i]);
+          ASSERT_EQ(per_tier[0][i].real(), one.real()) << "t=" << t[i];
+          ASSERT_EQ(per_tier[0][i].imag(), one.imag()) << "t=" << t[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDispatchTest, GammaCfAtZeroIsExactlyOne) {
+  for (const double shape : kGammaShapes) {
+    for (const double t0 : {0.0, -0.0}) {
+      const std::complex<double> v = simd::GammaCfPoint(shape, 1.7, t0);
+      EXPECT_EQ(v.real(), 1.0) << "shape " << shape;
+      EXPECT_EQ(v.imag(), 0.0) << "shape " << shape;
+    }
+  }
+}
+
+TEST(SimdDispatchTest, GammaCfIsConjugateSymmetric) {
+  const std::vector<double> t = GammaProbeGrid(257);
+  std::vector<double> neg(t.size());
+  for (size_t i = 0; i < t.size(); ++i) neg[i] = -t[i];
+  for (const double shape : kGammaShapes) {
+    std::vector<std::complex<double>> pos_out(t.size()), neg_out(t.size());
+    Active().gamma_cf_grid(shape, 0.8, t.data(), t.size(), pos_out.data());
+    Active().gamma_cf_grid(shape, 0.8, neg.data(), t.size(), neg_out.data());
+    for (size_t i = 0; i < t.size(); ++i) {
+      ASSERT_EQ(neg_out[i].real(), pos_out[i].real()) << "t=" << t[i];
+      ASSERT_EQ(neg_out[i].imag(), -pos_out[i].imag()) << "t=" << t[i];
+    }
+  }
+}
+
+TEST(SimdDispatchTest, GammaCfHugeFrequenciesStayFiniteAndTiny) {
+  // scale * t overflows x^2 from |x| ~ 1.3e154 and x itself past DBL_MAX.
+  const std::vector<double> t = {1e100,  1e155,   -1e200,
+                                 1e300, 1.7e308, -1.7e308};
+  for (const double shape : kGammaShapes) {
+    for (const double scale : {1.0, 1e10}) {
+      std::vector<std::complex<double>> out(t.size());
+      Active().gamma_cf_grid(shape, scale, t.data(), t.size(), out.data());
+      for (size_t i = 0; i < t.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(out[i].real())) << "t=" << t[i];
+        ASSERT_TRUE(std::isfinite(out[i].imag())) << "t=" << t[i];
+        // |cf| = |x|^-shape <= 1e-100^0.5.
+        EXPECT_LE(std::abs(out[i]), 1e-49) << "t=" << t[i];
+      }
+    }
+  }
+}
+
+TEST(SimdDispatchTest, GammaCfWithinAbsoluteErrorOfComplexPow) {
+  common::Rng rng(2024);
+  std::vector<double> t(20003);
+  rng.FillUniform(t.data(), t.size());
+  for (double& v : t) v = 200.0 * v - 100.0;
+  const std::vector<double> probe = ProbeGrid(1001);
+  t.insert(t.end(), probe.begin(), probe.end());
+  double worst = 0.0;
+  for (const double shape : kGammaShapes) {
+    for (const double scale : {0.05, 0.9, 13.0}) {
+      std::vector<std::complex<double>> out(t.size());
+      Active().gamma_cf_grid(shape, scale, t.data(), t.size(), out.data());
+      for (size_t i = 0; i < t.size(); ++i) {
+        const std::complex<double> ref =
+            std::pow(std::complex<double>(1.0, -scale * t[i]), -shape);
+        const double err = std::abs(out[i] - ref);
+        ASSERT_LE(err, 1e-14) << "shape " << shape << " scale " << scale
+                              << " t=" << t[i];
+        worst = std::max(worst, err);
+      }
+    }
+  }
+  std::ostringstream worst_text;
+  worst_text << worst;
+  RecordProperty("worst_abs_error", worst_text.str());
 }
 
 // ---- CfGridCache ---------------------------------------------------------

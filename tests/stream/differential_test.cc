@@ -14,7 +14,9 @@
 // A second, exhaustive check pins the planner's tumbling-window decision:
 // for every aggregate (SUM and AVG under each SumStrategyKind, MAX, MIN,
 // COUNT) the pane path must reproduce the naive path's rows bit for bit —
-// values, lineage, HAVING decisions and row order — at 1 and 4 shards.
+// values, lineage, HAVING decisions and row order — at 1 and 4 shards. A
+// third pins slot sharing on sliding windows: the SUM and AVG columns of a
+// SUM+AVG plan equal the SUM-only and AVG-only plans bit for bit.
 //
 // On failure the offending seed + configuration is printed for replay:
 //   stream_differential_test --gtest_filter='*Seed*' and the seed shown.
@@ -365,6 +367,81 @@ TEST_P(TumblingEveryAggregateTest, PanedMatchesNaiveBitwise) {
     }
   }
 }
+
+// ---- sliding windows: shared SUM/AVG slots, bitwise ----------------------
+
+/// Sorted "ts|key|<column>|lineage" renderings of one aggregate column
+/// (sharded runs may merge rows in any order).
+std::vector<std::string> SortedColumn(const TupleBatch& batch, size_t column) {
+  std::vector<std::string> rows;
+  for (const Tuple& t : batch) {
+    std::string row = std::to_string(t.timestamp()) + "|" +
+                      ExactRender(t.value(0)) + "|" +
+                      ExactRender(t.value(column)) + "|lineage";
+    for (const TupleId id : t.lineage()) row += " " + std::to_string(id);
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+common::Result<TupleBatch> RunSliding(query::Query plan,
+                                      const std::vector<TupleBatch>& input,
+                                      size_t num_shards) {
+  PlannerOptions opts;
+  opts.num_shards = num_shards;
+  auto compiled_or = plan.Compile(opts);
+  USP_RETURN_NOT_OK(compiled_or.status());
+  auto compiled = compiled_or.MoveValueUnsafe();
+  const auto src = compiled->source("src");
+  for (const TupleBatch& batch : input) {
+    USP_RETURN_NOT_OK(compiled->PushBatch(src, batch));
+  }
+  USP_RETURN_NOT_OK(compiled->Finish());
+  return compiled->TakeResult(compiled->sink("out"));
+}
+
+class SlidingSharedSlotTest
+    : public ::testing::TestWithParam<uncertain::SumStrategyKind> {};
+
+TEST_P(SlidingSharedSlotTest, SumAndAvgColumnsMatchSingleColumnPlans) {
+  // SUM and AVG of one attribute share a pane partial and one combine
+  // (for CF inversion: one inversion) per (window, group); each column's
+  // finish must still produce exactly what a plan computing only that
+  // column does.
+  SCOPED_TRACE(uncertain::SumStrategyKindName(GetParam()));
+  const uncertain::SumStrategyKind kind = GetParam();
+  const std::vector<TupleBatch> input = TumblingInput();
+  auto base = [] {
+    return query::Query::From("src", 2)
+        .Window(WindowSpec::Sliding(4 * kTumblingWindowUs, kTumblingWindowUs))
+        .GroupBy(0);
+  };
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto both_or = RunSliding(
+        base().Sum("total", 1, kind).Avg("mean", 1, kind).Sink("out"), input,
+        shards);
+    auto sum_or = RunSliding(base().Sum("total", 1, kind).Sink("out"), input,
+                             shards);
+    auto avg_or = RunSliding(base().Avg("mean", 1, kind).Sink("out"), input,
+                             shards);
+    ASSERT_TRUE(both_or.ok()) << both_or.status().ToString();
+    ASSERT_TRUE(sum_or.ok()) << sum_or.status().ToString();
+    ASSERT_TRUE(avg_or.ok()) << avg_or.status().ToString();
+    ASSERT_FALSE(both_or.value().empty());
+    EXPECT_EQ(SortedColumn(both_or.value(), 1),
+              SortedColumn(sum_or.value(), 1));
+    EXPECT_EQ(SortedColumn(both_or.value(), 2),
+              SortedColumn(avg_or.value(), 1));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SharedSlotStrategies, SlidingSharedSlotTest,
+    ::testing::Values(uncertain::SumStrategyKind::kCfInversion,
+                      uncertain::SumStrategyKind::kClt,
+                      uncertain::SumStrategyKind::kCfApprox));
 
 INSTANTIATE_TEST_SUITE_P(
     AllSumStrategies, TumblingEveryAggregateTest,

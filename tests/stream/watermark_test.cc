@@ -66,7 +66,7 @@ PaneAggregateSpec CountPaneSpec() {
     static_cast<CountPartial*>(p)->n += 1;
     return common::Status::OK();
   };
-  spec.finalize =
+  spec.combine =
       [](const std::vector<PanePartial*>& parts) -> common::Result<Value> {
     int64_t total = 0;
     for (PanePartial* p : parts) total += static_cast<CountPartial*>(p)->n;

@@ -9,9 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -332,6 +337,116 @@ TEST(PaneAggregatesTest, AvgMatchesNaive) {
   for (size_t i = 0; i < nout.tuples().size(); ++i) {
     ExpectValueEqual(nout.tuples()[i].value(1), pout.tuples()[i].value(1), i,
                      1);
+  }
+}
+
+// ---- pane CF grids across width buckets ----------------------------------
+
+/// Log of pane-grid builds: (distribution, dt) -> number of CfGrid calls
+/// starting a grid at t = 0 (the exact per-window kernel's grids are
+/// symmetric, so they never start there).
+using GridBuildLog = std::map<std::pair<const void*, double>, int>;
+
+/// A Gaussian that records every pane-grid build of its CF.
+class GridCountingGaussian final : public stats::Distribution {
+ public:
+  GridCountingGaussian(double mean, double sd, GridBuildLog* log)
+      : g_(mean, sd), log_(log) {}
+  stats::DistType type() const override { return g_.type(); }
+  double Pdf(double x) const override { return g_.Pdf(x); }
+  double Cdf(double x) const override { return g_.Cdf(x); }
+  double Mean() const override { return g_.Mean(); }
+  double Variance() const override { return g_.Variance(); }
+  std::complex<double> Cf(double t) const override { return g_.Cf(t); }
+  void CfGrid(const double* t, size_t n,
+              std::complex<double>* out) const override {
+    if (n >= 2 && t[0] == 0.0) ++(*log_)[{this, t[1]}];
+    g_.CfGrid(t, n, out);
+  }
+  double Sample(common::Rng* rng) const override { return g_.Sample(rng); }
+  stats::Support NumericSupport() const override {
+    return g_.NumericSupport();
+  }
+  std::unique_ptr<stats::Distribution> Clone() const override {
+    return std::make_unique<GridCountingGaussian>(*this);
+  }
+  std::string ToString() const override { return g_.ToString(); }
+
+ private:
+  stats::Gaussian g_;
+  GridBuildLog* log_;
+};
+
+std::vector<stream::PaneAggregateSpec> SumAvgInversion() {
+  std::vector<stream::PaneAggregateSpec> aggs;
+  aggs.push_back(
+      MakePaneSumAggregate("sum_w", 1, SumStrategyKind::kCfInversion));
+  aggs.push_back(
+      MakePaneAvgAggregate("avg_w", 1, SumStrategyKind::kCfInversion));
+  return aggs;
+}
+
+std::vector<Tuple> RunSumAvgInversion(const std::vector<Tuple>& stream,
+                                      WindowSpec spec) {
+  stream::PanedGroupByAggregateOperator op(
+      "paned", spec, [](const Tuple& t) { return t.value(0).AsString(); },
+      SumAvgInversion());
+  VectorCollector out;
+  for (const Tuple& t : stream) EXPECT_TRUE(op.Push(t, &out).ok());
+  EXPECT_TRUE(op.Close(&out).ok());
+  return out.tuples();
+}
+
+TEST(PaneAggregatesTest, PaneGridsSurviveAlternatingWidthBuckets) {
+  // Panes of 10 us under a 40 us window; pane k holds two Gaussians with
+  // total variance kVar[k % 5], so full windows sum to 3.9, 4.4, 3.6, 4.2,
+  // 3.5 in turn and 16 sd alternates around 32: the width bucket (and dt)
+  // flips between 32 and 64 from one window to the next, and every inner
+  // pane is read at both spacings, twice each.
+  const double kVar[] = {0.5, 1.3, 0.7, 1.4, 1.0};
+  const WindowSpec spec = WindowSpec::Sliding(40, 10);
+  GridBuildLog log;
+  std::vector<Tuple> stream;
+  for (int64_t k = 0; k < 16; ++k) {
+    const double sd = std::sqrt(kVar[k % 5] / 2.0);
+    for (int64_t j = 0; j < 2; ++j) {
+      Tuple t(10 * k + j,
+              {Value("a"),
+               Value(DistributionPtr(std::make_shared<GridCountingGaussian>(
+                   static_cast<double>(k), sd, &log)))});
+      t.InitBaseLineage();
+      stream.push_back(std::move(t));
+    }
+  }
+  const std::vector<Tuple> rows = RunSumAvgInversion(stream, spec);
+  const GridBuildLog builds = log;
+
+  // One build per (pane, dt), and panes really were read at two spacings.
+  std::map<const void*, std::set<double>> spacings;
+  for (const auto& [dist_dt, count] : builds) {
+    EXPECT_EQ(count, 1) << "dt " << dist_dt.second;
+    spacings[dist_dt.first].insert(dist_dt.second);
+  }
+  size_t two_spacings = 0;
+  for (const auto& [dist, dts] : spacings) two_spacings += dts.size() == 2;
+  EXPECT_GE(two_spacings, 20u);
+
+  // Results do not depend on which grids a pane already held: every row
+  // equals the one a fresh operator computes from that window's tuples.
+  ASSERT_EQ(rows.size(), 19u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const int64_t end = rows[i].timestamp();
+    std::vector<Tuple> window;
+    for (const Tuple& t : stream) {
+      if (t.timestamp() >= end - 40 && t.timestamp() < end) window.push_back(t);
+    }
+    const std::vector<Tuple> fresh = RunSumAvgInversion(window, spec);
+    const auto it =
+        std::find_if(fresh.begin(), fresh.end(),
+                     [end](const Tuple& t) { return t.timestamp() == end; });
+    ASSERT_NE(it, fresh.end()) << "window end " << end;
+    ExpectValueEqual(rows[i].value(1), it->value(1), i, 1);
+    ExpectValueEqual(rows[i].value(2), it->value(2), i, 2);
   }
 }
 
