@@ -29,31 +29,16 @@ WindField MakeTornadicWindField(const Table1Config& config) {
   return wind;
 }
 
-common::Result<Table1Row> RunTable1Row(const Table1Config& config,
-                                       size_t averaging_size) {
-  if (averaging_size < 2) {
-    return common::Status::InvalidArgument(
-        "averaging size must be at least 2 pulses");
-  }
-  const WindField wind = MakeTornadicWindField(config);
-  PulseSimConfig sim_config;
-  sim_config.num_gates = config.num_gates;
-  sim_config.noise_stddev = config.noise_stddev;
-  sim_config.seed = config.seed;
-  PulseSimulator sim(sim_config, wind);
+namespace {
 
-  MomentEstimator::Options mopts;
-  mopts.averaging_size = averaging_size;
-  MomentEstimator estimator(mopts);
-
-  // Generate and process the full trace, splitting beams into sector scans
-  // at sweep turnarounds.
-  const size_t total_pulses =
-      static_cast<size_t>(config.duration_s * kPulsesPerSecond);
-  for (size_t p = 0; p < total_pulses; ++p) {
-    USP_RETURN_NOT_OK(estimator.AddPulse(sim.NextPulse()));
-  }
-  const std::vector<MomentBeam>& beams = estimator.beams();
+// One row of Table 1 from the moment beams of one averaging size: splits
+// the beams into sector scans at sweep turnarounds and scores the
+// detector on every scan.
+common::Result<Table1Row> ScoreBeams(const Table1Config& config,
+                                     const WindField& wind,
+                                     const RadarSite& site,
+                                     size_t averaging_size,
+                                     const std::vector<MomentBeam>& beams) {
   if (beams.empty()) {
     return common::Status::FailedPrecondition(
         "no moment beams produced; averaging size exceeds the trace");
@@ -95,8 +80,7 @@ common::Result<Table1Row> RunTable1Row(const Table1Config& config,
     if (scan.size() < 2) continue;
     const auto detections = detector.DetectInScan(scan);
     const DetectionScore score =
-        ScoreDetections(detections, sim_config.site, truth,
-                        /*tolerance_m=*/2500.0);
+        ScoreDetections(detections, site, truth, /*tolerance_m=*/2500.0);
     reported += static_cast<double>(detections.size());
     false_neg += static_cast<double>(score.false_negatives);
     for (const auto& d : detections) {
@@ -119,12 +103,54 @@ common::Result<Table1Row> RunTable1Row(const Table1Config& config,
   return row;
 }
 
+}  // namespace
+
+common::Result<Table1Row> RunTable1Row(const Table1Config& config,
+                                       size_t averaging_size) {
+  auto rows = RunTable1Sweep(config, {averaging_size});
+  if (!rows.ok()) return rows.status();
+  return rows.value()[0];
+}
+
 common::Result<std::vector<Table1Row>> RunTable1Sweep(
     const Table1Config& config, const std::vector<size_t>& averaging_sizes) {
+  for (size_t n : averaging_sizes) {
+    if (n < 2) {
+      return common::Status::InvalidArgument(
+          "averaging size must be at least 2 pulses");
+    }
+  }
+  const WindField wind = MakeTornadicWindField(config);
+  PulseSimConfig sim_config;
+  sim_config.num_gates = config.num_gates;
+  sim_config.noise_stddev = config.noise_stddev;
+  sim_config.seed = config.seed;
+  PulseSimulator sim(sim_config, wind);
+
+  // One seeded pulse stream feeds every averaging size as it is
+  // generated: simulation dominates a row, and buffering the trace would
+  // hold every pulse of every gate.
+  std::vector<MomentEstimator> estimators;
+  estimators.reserve(averaging_sizes.size());
+  for (size_t n : averaging_sizes) {
+    MomentEstimator::Options mopts;
+    mopts.averaging_size = n;
+    estimators.emplace_back(mopts);
+  }
+  const size_t total_pulses =
+      static_cast<size_t>(config.duration_s * kPulsesPerSecond);
+  for (size_t p = 0; p < total_pulses; ++p) {
+    const Pulse pulse = sim.NextPulse();
+    for (MomentEstimator& estimator : estimators) {
+      USP_RETURN_NOT_OK(estimator.AddPulse(pulse));
+    }
+  }
+
   std::vector<Table1Row> rows;
   rows.reserve(averaging_sizes.size());
-  for (size_t n : averaging_sizes) {
-    auto row = RunTable1Row(config, n);
+  for (size_t i = 0; i < averaging_sizes.size(); ++i) {
+    auto row = ScoreBeams(config, wind, sim_config.site, averaging_sizes[i],
+                          estimators[i].beams());
     if (!row.ok()) return row.status();
     rows.push_back(row.value());
   }

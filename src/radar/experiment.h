@@ -42,6 +42,9 @@ common::Result<Table1Row> RunTable1Row(const Table1Config& config,
                                        size_t averaging_size);
 
 /// Run the full sweep (the paper's {40, 60, 80, 100, 200, 500, 1000}).
+/// One seeded pulse stream is simulated once and fed to every averaging
+/// size as it is generated, so each row equals RunTable1Row at that size
+/// (detection_seconds aside). Every size must be at least 2.
 common::Result<std::vector<Table1Row>> RunTable1Sweep(
     const Table1Config& config, const std::vector<size_t>& averaging_sizes);
 

@@ -92,11 +92,13 @@ Pulse PulseSimulator::NextPulse() {
 
   const size_t hist = config_.noise_ma_order + 1;
   const size_t pos = hist_pos_ % hist;
+  const double cos_az = std::cos(azimuth_);
+  const double sin_az = std::sin(azimuth_);
   for (size_t g = 0; g < config_.num_gates; ++g) {
     const double range =
         (static_cast<double>(g) + 0.5) * config_.gate_spacing_m;
-    const double x = config_.site.x_m + range * std::cos(azimuth_);
-    const double y = config_.site.y_m + range * std::sin(azimuth_);
+    const double x = config_.site.x_m + range * cos_az;
+    const double y = config_.site.y_m + range * sin_az;
     const double v_r = wind_.RadialVelocity(config_.site, x, y);
     const double z_db = wind_.ReflectivityDb(x, y);
     // Signal amplitude from reflectivity (normalized so 20 dBZ -> 1.0).

@@ -1,5 +1,6 @@
 #include "rfid/transform_operator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "stats/fitting.h"
@@ -78,7 +79,16 @@ common::Status RfidTransformOperator::ProcessReading(const Reading& reading,
   }
   filter_.ProcessReading(reading);
   const int64_t ts_us = static_cast<int64_t>(reading.time_s * 1e6);
-  for (uint32_t id : reading.observed_objects) {
+  // One tuple per distinct tag, in first-seen order: a reader that reports
+  // a tag twice in one scan still detected the object once (the filter
+  // counts it once), so a second tuple would double its weight downstream.
+  const std::vector<uint32_t>& observed = reading.observed_objects;
+  for (size_t i = 0; i < observed.size(); ++i) {
+    const uint32_t id = observed[i];
+    if (std::find(observed.begin(), observed.begin() + i, id) !=
+        observed.begin() + i) {
+      continue;
+    }
     const ObjectBelief& b = filter_.belief(id);
     auto x_dist = ConvertAxis(b.xs, b.ws);
     if (!x_dist.ok()) return x_dist.status();

@@ -46,7 +46,9 @@ class RfidTransformOperator {
                         std::vector<Point2> shelf_positions,
                         const SensingModel& sensing, const Options& options);
 
-  /// Assimilate a reading and emit location tuples for detected objects.
+  /// Assimilate a reading and emit one location tuple per distinct
+  /// detected tag, in first-seen order (a tag reported twice in one scan
+  /// yields one tuple).
   /// A malformed reading (see FactoredParticleFilter::ValidateReading, or
   /// a time beyond the int64 microsecond range) is InvalidArgument and
   /// leaves the filter untouched.

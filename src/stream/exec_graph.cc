@@ -148,9 +148,11 @@ common::Status DagExecutor::Deliver(ExecGraph::NodeId id, int port,
       return st.ok() ? fwd : st;
     }
     case ExecGraph::NodeKind::kSink: {
-      TupleBatch& sink = sink_outputs_[id];
-      sink.Reserve(sink.size() + batch.size());
-      for (const Tuple& t : batch) sink.Append(t);
+      // Range insert grows the buffer geometrically. Reserving exactly
+      // size + batch on every delivery reallocated (and moved) the whole
+      // buffer per batch, and the freed blocks fragmented the heap.
+      std::vector<Tuple>& rows = sink_outputs_[id].mutable_tuples();
+      rows.insert(rows.end(), batch.begin(), batch.end());
       return common::Status::OK();
     }
   }

@@ -8,11 +8,15 @@ namespace usp {
 namespace stream {
 
 Tuple ConcatJoinedTuple(const Tuple& left, const Tuple& right) {
-  std::vector<Value> values = left.values();
-  for (const Value& v : right.values()) values.push_back(v);
+  std::vector<Value> values;
+  values.reserve(left.num_values() + right.num_values());
+  values.insert(values.end(), left.values().begin(), left.values().end());
+  values.insert(values.end(), right.values().begin(), right.values().end());
   Tuple joined(std::max(left.timestamp(), right.timestamp()),
                std::move(values));
-  std::vector<TupleId> lineage = left.lineage();
+  std::vector<TupleId> lineage;
+  lineage.reserve(left.lineage().size() + right.lineage().size());
+  lineage.insert(lineage.end(), left.lineage().begin(), left.lineage().end());
   lineage.insert(lineage.end(), right.lineage().begin(),
                  right.lineage().end());
   joined.SetLineage(std::move(lineage));

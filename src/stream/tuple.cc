@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <iterator>
+#include <new>
 
 namespace usp {
 namespace stream {
@@ -11,24 +13,132 @@ TupleId NextTupleId() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+Tuple::Tuple(int64_t timestamp_us, std::vector<Value> values)
+    : id_(NextTupleId()), timestamp_(timestamp_us) {
+  if (values.size() > kInlineValues) {
+    new (&heap_values_) std::vector<Value>(std::move(values));
+    num_inline_ = kSpilled;
+    return;
+  }
+  for (Value& v : values) new (&inline_values_[num_inline_++]) Value(std::move(v));
+}
+
+Tuple::Tuple(const Tuple& other)
+    : id_(other.id_),
+      timestamp_(other.timestamp_),
+      merged_lineage_(other.merged_lineage_),
+      base_lineage_(other.base_lineage_) {
+  CopyValuesFrom(other);
+}
+
+Tuple::Tuple(Tuple&& other) noexcept
+    : id_(other.id_),
+      timestamp_(other.timestamp_),
+      merged_lineage_(std::move(other.merged_lineage_)),
+      base_lineage_(other.base_lineage_) {
+  MoveValuesFrom(std::move(other));
+}
+
+Tuple& Tuple::operator=(const Tuple& other) {
+  if (this != &other) *this = Tuple(other);
+  return *this;
+}
+
+Tuple& Tuple::operator=(Tuple&& other) noexcept {
+  if (this == &other) return *this;
+  DestroyValues();
+  MoveValuesFrom(std::move(other));
+  id_ = other.id_;
+  timestamp_ = other.timestamp_;
+  merged_lineage_ = std::move(other.merged_lineage_);
+  base_lineage_ = other.base_lineage_;
+  return *this;
+}
+
+void Tuple::CopyValuesFrom(const Tuple& other) {
+  if (other.spilled()) {
+    new (&heap_values_) std::vector<Value>(other.heap_values_);
+    num_inline_ = kSpilled;
+    return;
+  }
+  num_inline_ = 0;
+  for (; num_inline_ < other.num_inline_; ++num_inline_) {
+    new (&inline_values_[num_inline_]) Value(other.inline_values_[num_inline_]);
+  }
+}
+
+void Tuple::MoveValuesFrom(Tuple&& other) noexcept {
+  if (other.spilled()) {
+    new (&heap_values_) std::vector<Value>(std::move(other.heap_values_));
+    num_inline_ = kSpilled;
+    return;
+  }
+  num_inline_ = 0;
+  for (; num_inline_ < other.num_inline_; ++num_inline_) {
+    new (&inline_values_[num_inline_])
+        Value(std::move(other.inline_values_[num_inline_]));
+  }
+}
+
+void Tuple::DestroyValues() noexcept {
+  if (spilled()) {
+    heap_values_.~vector();
+  } else {
+    for (uint8_t i = 0; i < num_inline_; ++i) inline_values_[i].~Value();
+  }
+  num_inline_ = 0;
+}
+
+void Tuple::AppendValue(Value v) {
+  if (spilled()) {
+    heap_values_.push_back(std::move(v));
+    return;
+  }
+  if (num_inline_ < kInlineValues) {
+    new (&inline_values_[num_inline_++]) Value(std::move(v));
+    return;
+  }
+  // Exactly one slot more: a tagged or annotated row grows by one value
+  // and is then buffered as is.
+  std::vector<Value> spill;
+  spill.reserve(kInlineValues + 1);
+  for (uint8_t i = 0; i < num_inline_; ++i) {
+    spill.push_back(std::move(inline_values_[i]));
+  }
+  spill.push_back(std::move(v));
+  DestroyValues();
+  new (&heap_values_) std::vector<Value>(std::move(spill));
+  num_inline_ = kSpilled;
+}
+
 void Tuple::SetLineage(std::vector<TupleId> ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  lineage_ = std::move(ids);
+  base_lineage_ = ids.size() == 1 && ids[0] == id_;
+  if (ids.empty() || base_lineage_) {
+    merged_lineage_.reset();
+    return;
+  }
+  merged_lineage_ =
+      std::make_shared<const std::vector<TupleId>>(std::move(ids));
 }
 
 void Tuple::MergeLineageFrom(const Tuple& other) {
+  const LineageView mine = lineage();
+  const LineageView theirs = other.lineage();
   std::vector<TupleId> merged;
-  merged.reserve(lineage_.size() + other.lineage_.size());
-  std::set_union(lineage_.begin(), lineage_.end(), other.lineage_.begin(),
-                 other.lineage_.end(), std::back_inserter(merged));
-  lineage_ = std::move(merged);
+  merged.reserve(mine.size() + theirs.size());
+  std::set_union(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                 std::back_inserter(merged));
+  SetLineage(std::move(merged));
 }
 
 bool Tuple::SharesLineageWith(const Tuple& other) const {
-  auto it1 = lineage_.begin();
-  auto it2 = other.lineage_.begin();
-  while (it1 != lineage_.end() && it2 != other.lineage_.end()) {
+  const LineageView mine = lineage();
+  const LineageView theirs = other.lineage();
+  auto it1 = mine.begin();
+  auto it2 = theirs.begin();
+  while (it1 != mine.end() && it2 != theirs.end()) {
     if (*it1 == *it2) return true;
     if (*it1 < *it2) {
       ++it1;
@@ -43,9 +153,10 @@ size_t Tuple::ApproxBytes() const {
   // Flat charge per buffered distribution handle: the control block plus a
   // typical small-parameter pdf object (Gaussian/GMM component scale).
   constexpr size_t kDistributionHandleBytes = 128;
-  size_t bytes = sizeof(Tuple) + values_.capacity() * sizeof(Value) +
-                 lineage_.capacity() * sizeof(TupleId);
-  for (const Value& v : values_) {
+  size_t bytes = sizeof(Tuple);
+  if (spilled()) bytes += heap_values_.capacity() * sizeof(Value);
+  if (merged_lineage_) bytes += merged_lineage_->size() * sizeof(TupleId);
+  for (const Value& v : values()) {
     if (v.is_string()) {
       bytes += v.AsString().capacity();
     } else if (v.is_distribution()) {
@@ -61,9 +172,10 @@ std::string Tuple::ToString() const {
            static_cast<unsigned long long>(id_),
            static_cast<long long>(timestamp_));
   std::string s = head;
-  for (size_t i = 0; i < values_.size(); ++i) {
+  const ValueView vals = values();
+  for (size_t i = 0; i < vals.size(); ++i) {
     if (i) s += ", ";
-    s += values_[i].ToString();
+    s += vals[i].ToString();
   }
   s += "]";
   return s;

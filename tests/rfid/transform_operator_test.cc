@@ -176,6 +176,52 @@ TEST(RfidTransformTest, BatchVariantMatchesCollectorPath) {
   FAIL() << "no reading produced any tuples";
 }
 
+// A reader that reports a tag twice in one scan detected that object
+// once, and the filter counts it once. The operator must emit one tuple
+// per distinct tag, in first-seen order; a second tuple would double the
+// object's weight in a downstream SUM.
+TEST(RfidTransformTest, DuplicateTagReadsEmitOneTuplePerTag) {
+  const WarehouseConfig config = SmallConfig();
+  WarehouseSimulator sim(config);
+  const auto opts = MakeOpts(TupleDistPolicy::kGaussian);
+  RfidTransformOperator clean(config.num_objects, sim.shelf_positions(),
+                              config.sensing, opts);
+  RfidTransformOperator noisy(config.num_objects, sim.shelf_positions(),
+                              config.sensing, opts);
+  size_t multi_tag_readings = 0;
+  for (int i = 0; i < 100; ++i) {
+    const Reading r = sim.Step();
+    // Every tag reported twice, the repeats in reverse: a b c c b a.
+    Reading dup = r;
+    dup.observed_objects.insert(dup.observed_objects.end(),
+                                r.observed_objects.rbegin(),
+                                r.observed_objects.rend());
+    if (r.observed_objects.size() > 1) ++multi_tag_readings;
+    stream::VectorCollector want, got;
+    ASSERT_TRUE(clean.ProcessReading(r, &want).ok());
+    ASSERT_TRUE(noisy.ProcessReading(dup, &got).ok());
+    ASSERT_EQ(got.tuples().size(), r.observed_objects.size())
+        << "reading " << i;
+    for (size_t j = 0; j < want.tuples().size(); ++j) {
+      const stream::Tuple& a = want.tuples()[j];
+      const stream::Tuple& b = got.tuples()[j];
+      EXPECT_EQ(b.value(0).AsInt(),
+                static_cast<int64_t>(r.observed_objects[j]));
+      for (size_t attr : {1, 2}) {
+        EXPECT_EQ(a.value(attr).AsDistribution()->Mean(),
+                  b.value(attr).AsDistribution()->Mean());
+        EXPECT_EQ(a.value(attr).AsDistribution()->Variance(),
+                  b.value(attr).AsDistribution()->Variance());
+      }
+    }
+    const auto batch = noisy.ProcessReadingBatch(dup);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_TRUE(clean.ProcessReadingBatch(r).ok());
+    EXPECT_EQ(batch.value().size(), r.observed_objects.size());
+  }
+  EXPECT_GT(multi_tag_readings, 0u);
+}
+
 // A malformed reading must come back InvalidArgument and leave the filter
 // exactly as it was: an operator that was fed it alongside good readings
 // ends bitwise-equal to a twin that only ever saw the good ones.
